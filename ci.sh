@@ -26,6 +26,11 @@ cargo test -q -p gpu-sim --features model --test replay_model
 echo "== cargo test =="
 cargo test -q --workspace
 
+echo "== benchmark self-tests (answer checks, metric catalogue) =="
+# perfbench is a workspace of its own, so the workspace test run above
+# never builds it; a change that breaks its answer checks fails here
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== rustdoc (no broken intra-doc links) =="
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --no-deps --workspace -q
 

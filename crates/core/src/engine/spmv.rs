@@ -35,6 +35,8 @@ use crate::dgraph::DeviceGraph;
 use crate::frontier::BitFrontier;
 use gpu_sim::{AccessKind, Device};
 use sage_graph::NodeId;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Shared masked-SpMV iteration: every engine that advertises
 /// [`Engine::supports_matrix`] delegates here so the mode's cost character
@@ -45,24 +47,32 @@ use sage_graph::NodeId;
 ///
 /// 1. gate the rows through `pull_candidate` — a fully masked-out block is
 ///    skipped outright, the `⊙ mask` saving;
-/// 2. read the surviving rows' in-offset ranges and split each row's
-///    in-adjacency into per-column-block runs (contiguous CSR ranges,
-///    because adjacency lists are sorted ascending);
-/// 3. walk the active column blocks in ascending order. Per block: read the
-///    bitmap fragment (the 64-bit words covering the column range), gather
-///    the live rows' runs with coalesced range reads (the on-the-fly `Aᵀ`
-///    fragment — no preprocessed block storage), retire one tensor op via
+/// 2. read the surviving rows' in-offset ranges. A row's in-adjacency is
+///    sorted ascending, so it splits into per-column-block *runs*
+///    (contiguous CSR ranges) that come out in ascending column order;
+/// 3. merge the rows' runs lazily: one CSR cursor per candidate row and a
+///    min-heap keyed by `(col_block, slot)` holding each live row's next
+///    run. Popping every entry of the smallest column block forms that
+///    block's group, in ascending row order. Per group: read the bitmap
+///    fragment (the 64-bit words covering the column range), gather the
+///    rows' runs with coalesced range reads (the on-the-fly `Aᵀ` fragment —
+///    no preprocessed block storage), retire one tensor op via
 ///    [`gpu_sim::SmShard::mma`], and apply the app's pull contract to the
-///    run members. A claimed row is dead for every later block; once all
-///    rows converge the row-block stops early.
+///    run members. A row goes back on the heap only if it is still live
+///    and has runs left, so a claimed row is dead for every later block
+///    and its later runs are never even delimited; once every row has
+///    converged or run out the heap drains and the row-block stops.
 /// 4. append survivors to the queue at `queue_base` in ascending order.
 ///
-/// Because each row's runs are visited in ascending column order — the
-/// order its CSR targets are already in — every row sees exactly the
-/// `pull_update` call sequence a scalar pull scan gives it, so outputs are
+/// The merge visits column blocks in ascending order, and within a block
+/// the rows in ascending order — the order a stable sort of all runs by
+/// column block gives, without building or sorting them. Each row's runs
+/// are therefore visited in its CSR order, so every row sees exactly the
+/// `pull_update` call sequence a scalar pull scan gives it and outputs are
 /// bitwise identical to pull (and therefore to push). Cost charging is
 /// run-granular and independent of the functional early exit inside a
-/// fragment, so simulated cycles are deterministic too.
+/// fragment, so simulated cycles are deterministic too. Scratch space is
+/// O(`block_dim`): nothing is precomputed per graph.
 pub fn matrix_iterate(
     dev: &mut Device,
     g: &DeviceGraph,
@@ -74,15 +84,20 @@ pub fn matrix_iterate(
     let n = g.csr().num_nodes();
     let clock = dev.cfg().clock_hz;
     let issue = dev.cfg().issue_width;
-    let block_dim = dev.cfg().tensor.block_dim.max(1);
+    let block_dim = dev.cfg().tensor.block_dim;
+    // `Device::new` asserts a power-of-two block_dim
+    let block_shift = block_dim.trailing_zeros();
     let mut out = IterationOutput::default();
     let mut rec = AccessRecorder::new();
     let mut scratch: Vec<u64> = Vec::new();
     let mut candidates: Vec<NodeId> = Vec::new();
-    // (col_block, candidate slot, csr range) runs of the current row-block
-    let mut runs: Vec<(usize, usize, u32, u32)> = Vec::new();
+    // per candidate slot: end of its in-adjacency in the CSR
+    let mut row_end: Vec<u32> = Vec::new();
+    // min-heap of each live row's next run: (col_block, slot, run start)
+    let mut heap: BinaryHeap<Reverse<(u32, usize, u32)>> = BinaryHeap::new();
+    // (slot, csr range) runs of the column block being consumed
+    let mut group: Vec<(usize, u32, u32)> = Vec::new();
     let mut joined: Vec<bool> = Vec::new();
-    let mut done: Vec<bool> = Vec::new();
     let mut overhead_insts = 0u64;
 
     let row_blocks = n.div_ceil(block_dim);
@@ -98,6 +113,7 @@ pub fn matrix_iterate(
     charge_bitmap_build(&mut k, fr, queue_base);
 
     let in_csr = g.in_csr().expect("matrix mode requires the in-edge view");
+    let targets = in_csr.targets();
     for rb in 0..row_blocks {
         let lo = rb * block_dim;
         let hi = (lo + block_dim).min(n);
@@ -121,8 +137,7 @@ pub fn matrix_iterate(
             continue; // masked-out block: no fragment work at all
         }
 
-        // 2. in-offset ranges, then split each candidate row into
-        // per-column-block runs (contiguous, since targets sort ascending)
+        // 2. in-offset ranges; each row's first run seeds the merge
         for chunk in candidates.chunks(warp) {
             scratch.clear();
             for &u in chunk {
@@ -131,50 +146,41 @@ pub fn matrix_iterate(
             }
             sh.access(AccessKind::Read, &scratch, 4);
         }
-        runs.clear();
+        row_end.clear();
         for (slot, &u) in candidates.iter().enumerate() {
             let beg = in_csr.offset(u);
             let end = beg + in_csr.degree(u) as u32;
-            let targets = in_csr.targets();
-            let mut i = beg;
-            while i < end {
-                let cb = targets[i as usize] as usize / block_dim;
-                let mut j = i + 1;
-                while j < end && targets[j as usize] as usize / block_dim == cb {
-                    j += 1;
-                }
-                runs.push((cb, slot, i, j));
-                i = j;
+            row_end.push(end);
+            if beg < end {
+                heap.push(Reverse((targets[beg as usize] >> block_shift, slot, beg)));
             }
         }
-        // candidate-major build + stable sort = column-major groups whose
-        // runs keep ascending row order
-        runs.sort_by_key(|&(cb, _, _, _)| cb);
         joined.clear();
         joined.resize(candidates.len(), false);
-        done.clear();
-        done.resize(candidates.len(), false);
-        let mut live = candidates.len();
 
         // 3. consume column blocks in ascending order with block-level
-        // convergence: claimed rows are dead for every later fragment
-        let mut gi = 0;
-        while gi < runs.len() && live > 0 {
-            let cb = runs[gi].0;
-            let mut ge = gi;
-            while ge < runs.len() && runs[ge].0 == cb {
-                ge += 1;
-            }
-            let group = &runs[gi..ge];
-            gi = ge;
-            if group.iter().all(|&(_, slot, _, _)| done[slot]) {
-                continue; // every row of this fragment already converged
+        // convergence: a claimed row is never re-queued, so it is dead for
+        // every later fragment
+        while let Some(&Reverse((cb, _, _))) = heap.peek() {
+            group.clear();
+            while let Some(&Reverse((c, slot, beg))) = heap.peek() {
+                if c != cb {
+                    break;
+                }
+                heap.pop();
+                let end = row_end[slot];
+                let mut j = beg + 1;
+                while j < end && targets[j as usize] >> block_shift == cb {
+                    j += 1;
+                }
+                group.push((slot, beg, j));
             }
 
             // bitmap fragment: the 64-bit words covering the column block
             scratch.clear();
-            let w_lo = cb * block_dim / 64;
-            let w_hi = (((cb + 1) * block_dim - 1) / 64).min(fr.num_words() - 1);
+            let cb = cb as usize;
+            let w_lo = (cb << block_shift) / 64;
+            let w_hi = ((((cb + 1) << block_shift) - 1) / 64).min(fr.num_words() - 1);
             for w in w_lo..=w_hi {
                 scratch.push(fr.word_addr_at(w));
             }
@@ -184,15 +190,12 @@ pub fn matrix_iterate(
             sh.exec_uniform(2);
             overhead_insts += 2;
 
-            // gather the live rows' fragment slices cooperatively: the
-            // warp's lanes pack the group's nonzeros into warp-wide loads
-            // (a run is contiguous CSR indices, so they coalesce), charged
-            // whole regardless of where a claim lands inside them
+            // gather the rows' fragment slices cooperatively: the warp's
+            // lanes pack the group's nonzeros into warp-wide loads (a run is
+            // contiguous CSR indices, so they coalesce), charged whole
+            // regardless of where a claim lands inside them
             scratch.clear();
-            for &(_, slot, beg, end) in group {
-                if done[slot] {
-                    continue;
-                }
+            for &(_, beg, end) in &group {
                 for idx in beg..end {
                     scratch.push(g.in_target_addr(idx));
                 }
@@ -202,26 +205,25 @@ pub fn matrix_iterate(
                 sh.access(AccessKind::Read, chunk, 4);
             }
 
-            for &(_, slot, beg, end) in group {
-                if done[slot] {
-                    continue;
-                }
+            for &(slot, beg, end) in &group {
                 let u = candidates[slot];
-                for idx in beg..end {
-                    let v = in_csr.targets()[idx as usize];
+                let mut claimed = false;
+                for &v in &targets[beg as usize..end as usize] {
                     if !fr.contains(v) {
                         continue;
                     }
                     match app.pull_update(u, v, &mut rec) {
                         PullStep::Claim => {
                             joined[slot] = true;
-                            done[slot] = true;
-                            live -= 1;
+                            claimed = true;
                             break;
                         }
                         PullStep::Update => joined[slot] = true,
                         PullStep::Skip => {}
                     }
+                }
+                if !claimed && end < row_end[slot] {
+                    heap.push(Reverse((targets[end as usize] >> block_shift, slot, end)));
                 }
             }
             rec.flush(&mut sh);

@@ -34,8 +34,13 @@ const INVALID_TAG: u64 = u64::MAX;
 #[derive(Debug, Clone)]
 pub struct SectorCache {
     sets: usize,
+    /// `sets - 1` when the set count is a power of two, else `None` (the
+    /// 192-set L2 slices of the default device index with `%`).
+    set_mask: Option<u64>,
     ways: usize,
-    sectors_per_line: u32,
+    /// `log2(sectors_per_line)`: a sector id splits into line tag and
+    /// in-line offset with a shift and a mask.
+    line_shift: u32,
     /// Line tag per (set, way); `INVALID_TAG` marks an empty way.
     tags: Vec<u64>,
     /// Bitmask of valid sectors per (set, way).
@@ -53,7 +58,8 @@ impl SectorCache {
     /// `sectors_per_line` sectors per line.
     ///
     /// # Panics
-    /// Panics if `ways == 0` or `sectors_per_line` is 0 or above 32.
+    /// Panics if `ways == 0`, or if `sectors_per_line` is not a power of
+    /// two in `1..=32`.
     #[must_use]
     pub fn new(lines: usize, ways: usize, sectors_per_line: usize) -> Self {
         assert!(ways > 0, "cache needs at least one way");
@@ -61,12 +67,17 @@ impl SectorCache {
             (1..=32).contains(&sectors_per_line),
             "sectors per line must be in 1..=32"
         );
+        assert!(
+            sectors_per_line.is_power_of_two(),
+            "sectors per line must be a power of two"
+        );
         let sets = (lines / ways).max(1);
         let slots = sets * ways;
         Self {
             sets,
+            set_mask: sets.is_power_of_two().then_some(sets as u64 - 1),
             ways,
-            sectors_per_line: sectors_per_line as u32,
+            line_shift: sectors_per_line.trailing_zeros(),
             tags: vec![INVALID_TAG; slots],
             sector_bits: vec![0; slots],
             stamps: vec![0; slots],
@@ -81,10 +92,13 @@ impl SectorCache {
     /// `sector_id` (= address / sector_bytes).
     pub fn access(&mut self, sector_id: u64) -> Probe {
         self.clock += 1;
-        let line_tag = sector_id / u64::from(self.sectors_per_line);
-        let sector_in_line = (sector_id % u64::from(self.sectors_per_line)) as u32;
+        let line_tag = sector_id >> self.line_shift;
+        let sector_in_line = (sector_id & ((1 << self.line_shift) - 1)) as u32;
         let sector_mask = 1u32 << sector_in_line;
-        let set = (line_tag % self.sets as u64) as usize;
+        let set = match self.set_mask {
+            Some(mask) => line_tag & mask,
+            None => line_tag % self.sets as u64,
+        } as usize;
         let base = set * self.ways;
 
         // Probe all ways of the set.
@@ -197,7 +211,11 @@ pub const MAX_L2_SLICES: usize = 16;
 #[derive(Debug, Clone)]
 pub struct SlicedCache {
     slices: Vec<SectorCache>,
-    sectors_per_line: u64,
+    /// `log2(sectors_per_line)`.
+    line_shift: u32,
+    /// `log2(num_slices)`: the slice count is a power of two by
+    /// construction.
+    slice_shift: u32,
 }
 
 impl SlicedCache {
@@ -216,7 +234,8 @@ impl SlicedCache {
             .collect();
         Self {
             slices,
-            sectors_per_line: sectors_per_line as u64,
+            line_shift: sectors_per_line.trailing_zeros(),
+            slice_shift: k.trailing_zeros(),
         }
     }
 
@@ -237,10 +256,10 @@ impl SlicedCache {
     /// `line / K` while the sector offset within the line is preserved.
     #[must_use]
     pub fn slice_and_local(&self, sector_id: u64) -> (usize, u64) {
-        let k = self.slices.len() as u64;
-        let line = sector_id / self.sectors_per_line;
-        let local = (line / k) * self.sectors_per_line + sector_id % self.sectors_per_line;
-        ((line % k) as usize, local)
+        let line = sector_id >> self.line_shift;
+        let offset = sector_id & ((1 << self.line_shift) - 1);
+        let local = ((line >> self.slice_shift) << self.line_shift) | offset;
+        ((line & ((1 << self.slice_shift) - 1)) as usize, local)
     }
 
     /// Probe (and fill) the owning slice for `sector_id`.
@@ -380,27 +399,49 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "sectors per line must be a power of two")]
+    fn non_power_of_two_sectors_per_line_panics() {
+        let _ = SectorCache::new(12, 4, 3);
+    }
+
+    #[test]
+    fn non_power_of_two_set_count_indexes_by_modulo() {
+        // 6 sets, 1 way: lines 1 and 7 share set 1, line 4 sits in set 4
+        let mut c = SectorCache::new(6, 1, 4);
+        assert_eq!(c.sets(), 6);
+        assert_eq!(c.access(4), Probe::LineMiss); // line 1
+        assert_eq!(c.access(16), Probe::LineMiss); // line 4
+        assert_eq!(c.access(28), Probe::LineMiss); // line 7 evicts line 1
+        assert_eq!(c.access(16), Probe::Hit);
+        assert_eq!(c.access(4), Probe::LineMiss);
+    }
+
+    #[test]
     fn sliced_cache_matches_monolithic_probe_for_probe() {
-        // geometry with a power-of-two set count → 16 slices
-        let (lines, ways, spl) = (64, 4, 4);
-        let mut mono = SectorCache::new(lines, ways, spl);
-        let mut sliced = SlicedCache::new(lines, ways, spl);
-        assert_eq!(sliced.num_slices(), 16);
-        assert_eq!(sliced.sets(), mono.sets());
-        // deterministic pseudo-random probe stream with reuse and conflicts
-        let mut x = 0x9e3779b97f4a7c15u64;
-        for i in 0..20_000u64 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let sector = if i % 3 == 0 { x % 256 } else { x % 4096 };
-            assert_eq!(
-                mono.access(sector),
-                sliced.access(sector),
-                "probe {i} sector {sector} diverged"
-            );
+        // 16 sets → 16 slices of 1 set (power-of-two, masked set index);
+        // 48 sets → 16 slices of 3 sets, the default L2's 3072 → 16 × 192
+        // shape in miniature (modulo set index)
+        for lines in [64, 192] {
+            let (ways, spl) = (4, 4);
+            let mut mono = SectorCache::new(lines, ways, spl);
+            let mut sliced = SlicedCache::new(lines, ways, spl);
+            assert_eq!(sliced.num_slices(), 16);
+            assert_eq!(sliced.sets(), mono.sets());
+            // deterministic pseudo-random probe stream with reuse and conflicts
+            let mut x = 0x9e3779b97f4a7c15u64;
+            for i in 0..20_000u64 {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let sector = if i % 3 == 0 { x % 256 } else { x % 4096 };
+                assert_eq!(
+                    mono.access(sector),
+                    sliced.access(sector),
+                    "{lines} lines: probe {i} sector {sector} diverged"
+                );
+            }
+            assert_eq!(mono.stats(), sliced.stats());
         }
-        assert_eq!(mono.stats(), sliced.stats());
     }
 
     #[test]

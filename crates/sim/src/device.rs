@@ -134,8 +134,23 @@ pub(crate) struct ReplayCaches {
 
 impl Device {
     /// Build a device from its configuration.
+    ///
+    /// # Panics
+    /// Panics unless `sector_bytes`, `line_bytes` and `tensor.block_dim` are
+    /// powers of two: the simulator splits addresses, sector ids and vertex
+    /// ids with shifts and masks, never with divisions.
     #[must_use]
     pub fn new(cfg: DeviceConfig) -> Self {
+        for (field, value) in [
+            ("sector_bytes", cfg.sector_bytes),
+            ("line_bytes", cfg.line_bytes),
+            ("tensor.block_dim", cfg.tensor.block_dim),
+        ] {
+            assert!(
+                value.is_power_of_two(),
+                "DeviceConfig::{field} must be a power of two, got {value}"
+            );
+        }
         let spl = cfg.sectors_per_line();
         let l1 = (0..cfg.num_sms)
             .map(|_| SectorCache::new(cfg.l1.lines(cfg.line_bytes), cfg.l1.ways, spl))
@@ -578,6 +593,32 @@ impl Device {
 mod tests {
     use super::*;
     use crate::kernel::AccessKind;
+
+    #[test]
+    #[should_panic(expected = "DeviceConfig::sector_bytes must be a power of two")]
+    fn non_power_of_two_sector_bytes_panics() {
+        let _ = Device::new(DeviceConfig {
+            sector_bytes: 24,
+            ..DeviceConfig::test_tiny()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "DeviceConfig::line_bytes must be a power of two")]
+    fn non_power_of_two_line_bytes_panics() {
+        let _ = Device::new(DeviceConfig {
+            line_bytes: 96,
+            ..DeviceConfig::test_tiny()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "DeviceConfig::tensor.block_dim must be a power of two")]
+    fn non_power_of_two_block_dim_panics() {
+        let mut cfg = DeviceConfig::test_tiny();
+        cfg.tensor.block_dim = 24;
+        let _ = Device::new(cfg);
+    }
 
     #[test]
     fn clock_accumulates_across_kernels() {

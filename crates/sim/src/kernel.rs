@@ -160,6 +160,8 @@ pub struct Kernel<'d> {
     name: String,
     per_sm: Vec<SmCounters>,
     concurrency: f64,
+    /// `log2(sector_bytes)`; [`Device::new`] asserts a power of two.
+    sector_shift: u32,
     scratch_sectors: Vec<u64>,
     scratch_addrs: Vec<u64>,
     host_bytes: u64,
@@ -182,11 +184,13 @@ impl<'d> Kernel<'d> {
             elided: 0,
         });
         let shadow = dev.sanitize_enabled().then(|| ShadowTracker::new(sms));
+        let sector_shift = dev.cfg().sector_bytes.trailing_zeros();
         Self {
             dev,
             name: name.to_owned(),
             per_sm: vec![SmCounters::default(); sms],
             concurrency,
+            sector_shift,
             scratch_sectors: Vec::with_capacity(64),
             scratch_addrs: Vec::with_capacity(64),
             host_bytes: 0,
@@ -294,7 +298,6 @@ impl<'d> Kernel<'d> {
         if addrs.is_empty() {
             return;
         }
-        let sector = self.dev.cfg().sector_bytes as u64;
         let sm = sm % self.per_sm.len();
         if shadowed {
             if let Some(sh) = &mut self.shadow {
@@ -307,18 +310,12 @@ impl<'d> Kernel<'d> {
             }
         }
 
-        // Coalesce: collect the distinct sectors the lanes touch. Elements may
-        // straddle sector boundaries when elem_bytes > 1.
-        self.scratch_sectors.clear();
-        for &a in addrs {
-            let first = a / sector;
-            let last = (a + elem_bytes as u64 - 1) / sector;
-            for s in first..=last {
-                self.scratch_sectors.push(s);
-            }
-        }
-        self.scratch_sectors.sort_unstable();
-        self.scratch_sectors.dedup();
+        coalesce(
+            &mut self.scratch_sectors,
+            addrs,
+            elem_bytes as u64,
+            self.sector_shift,
+        );
 
         let c = &mut self.per_sm[sm];
         c.mem_requests += 1;
@@ -343,10 +340,9 @@ impl<'d> Kernel<'d> {
     /// zero-copy semantics for host sectors — the UM pool in `host.rs`
     /// provides the cached alternative).
     fn charge_sector(&mut self, sm: usize, is_write: bool, s: u64, prev_host_sector: &mut u64) {
-        let sector = self.dev.cfg().sector_bytes as u64;
-        if is_host_addr(s * sector) {
+        if is_host_addr(s << self.sector_shift) {
             self.per_sm[sm].host_sectors += 1;
-            self.host_bytes += sector;
+            self.host_bytes += 1 << self.sector_shift;
             if s != prev_host_sector.wrapping_add(1) {
                 self.host_requests += 1;
             }
@@ -403,7 +399,7 @@ impl<'d> Kernel<'d> {
             return;
         }
         let warp = self.dev.cfg().warp_size as u64;
-        let sector = self.dev.cfg().sector_bytes as u64;
+        let shift = self.sector_shift;
         let sm = sm % self.per_sm.len();
         if let Some(sh) = &mut self.shadow {
             let bytes = count * elem_bytes as u64;
@@ -424,7 +420,7 @@ impl<'d> Kernel<'d> {
             c.warp_insts += 1.0;
             c.active_lanes += lanes as f64;
             c.lane_slots += warp as f64;
-            for s in (lo / sector)..=(hi / sector) {
+            for s in (lo >> shift)..=(hi >> shift) {
                 self.charge_sector(sm, is_write, s, &mut prev_host_sector);
             }
             done += lanes;
@@ -473,25 +469,12 @@ impl<'d> Kernel<'d> {
         }
         let sm = sm % self.per_sm.len();
         let n = addrs.len() as u64;
-        // Sort a scratch copy to count conflicting lanes without mutating
-        // the caller's address list.
-        self.scratch_addrs.clear();
-        self.scratch_addrs.extend_from_slice(addrs);
-        self.scratch_addrs.sort_unstable();
-        let mut distinct = 1u64;
-        for i in 1..self.scratch_addrs.len() {
-            if self.scratch_addrs[i] != self.scratch_addrs[i - 1] {
-                distinct += 1;
-            }
-        }
+        // Conflicting lanes: coalescing at byte granularity leaves one
+        // entry per distinct address.
+        coalesce(&mut self.scratch_addrs, addrs, 1, 0);
+        let distinct = self.scratch_addrs.len() as u64;
         // Traffic: atomics resolve in L2; charge sector traffic there too.
-        let sector = self.dev.cfg().sector_bytes as u64;
-        self.scratch_sectors.clear();
-        for &a in addrs.iter() {
-            self.scratch_sectors.push(a / sector);
-        }
-        self.scratch_sectors.sort_unstable();
-        self.scratch_sectors.dedup();
+        coalesce(&mut self.scratch_sectors, addrs, 1, self.sector_shift);
         for i in 0..self.scratch_sectors.len() {
             let s = self.scratch_sectors[i];
             if let Some(t) = &mut self.trace {
@@ -770,7 +753,6 @@ impl ReplayWork {
     /// background thread.
     fn run(mut self) -> ReplayDone {
         let (recorded, l2_probes, parallel, arena_bytes) = replay_streams(
-            &self.cfg,
             &mut self.caches,
             &mut self.arena,
             &mut self.per_sm,
@@ -933,6 +915,31 @@ impl<'d> SmShard<'_, 'd> {
     }
 }
 
+/// Coalesce lane addresses into the ascending, duplicate-free list of
+/// `1 << shift`-byte units they touch; an `elem_bytes`-wide element may
+/// straddle a unit boundary. Warp accesses are mostly monotone (CSR ranges,
+/// consecutive vertex ids), so adjacent repeats are dropped while pushing
+/// and the sort only runs when a descending unit was seen. The result
+/// always equals `sort_unstable` + `dedup` over every touched unit.
+fn coalesce(out: &mut Vec<u64>, addrs: &[u64], elem_bytes: u64, shift: u32) {
+    out.clear();
+    let mut monotone = true;
+    for &a in addrs {
+        for unit in (a >> shift)..=((a + elem_bytes - 1) >> shift) {
+            match out.last() {
+                Some(&prev) if prev == unit => continue,
+                Some(&prev) if prev > unit => monotone = false,
+                _ => {}
+            }
+            out.push(unit);
+        }
+    }
+    if !monotone {
+        out.sort_unstable();
+        out.dedup();
+    }
+}
+
 /// Split `items` into at most `parts` contiguous chunks of near-equal size
 /// (ownership partition for shard workers; deterministic by construction).
 fn chunk_len(total: usize, parts: usize) -> usize {
@@ -962,7 +969,6 @@ fn chunk_len(total: usize, parts: usize) -> usize {
 /// thread. Counter merging is fixed-order u64 sums, so the result is
 /// independent of thread scheduling.
 fn replay_streams(
-    cfg: &DeviceConfig,
     caches: &mut ReplayCaches,
     arena: &mut TraceArena,
     per_sm: &mut [SmCounters],
@@ -971,7 +977,6 @@ fn replay_streams(
 ) -> (u64, u64, bool, u64) {
     use crate::trace::{ATOMIC_FLAG, BYPASS_FLAG, SECTOR_MASK, SEQ_SHIFT};
     let num_slices = caches.l2.num_slices();
-    let spl = u64::from(cfg.sectors_per_line() as u32);
     let total_ops = arena.total_ops();
     if total_ops == 0 {
         return (0, 0, false, arena.reserved_bytes());
@@ -979,7 +984,6 @@ fn replay_streams(
     let sms = arena.rec.len();
     let workers = threads.min(sms).max(1);
     let parallel = workers > 1 && total_ops >= gate;
-    let k = num_slices as u64;
     let seq_mask_hi = !((1u64 << SEQ_SHIFT) - 1);
 
     // ---- pass 1: private L1 replay, one shard per SM ----
@@ -987,6 +991,7 @@ fn replay_streams(
     let mut l1_dram = vec![0u64; sms];
     {
         let l1 = &mut caches.l1;
+        let l2 = &caches.l2;
         // Survivors are re-packed (seq | slice-local sector) into per-slice
         // scratch groups, then written back over the drained stream prefix —
         // scratch is per-worker and sized to one SM's survivors, so the
@@ -1011,9 +1016,7 @@ fn replay_streams(
                     *hits += 1;
                     continue;
                 }
-                let line = s / spl;
-                let slice = (line % k) as usize;
-                let local = (line / k) * spl + s % spl;
+                let (slice, local) = l2.slice_and_local(s);
                 scratch[slice].push((w & seq_mask_hi) | (local << 2));
             }
             rec.clear();
@@ -1228,6 +1231,37 @@ mod tests {
         k.exec_uniform(0, 2000);
         let r2 = k.finish();
         assert!(r2.cycles > r1.cycles);
+    }
+
+    #[test]
+    fn coalesce_equals_sort_dedup_of_every_touched_unit() {
+        let mut x = 0x9e3779b97f4a7c15u64;
+        let mut out = Vec::new();
+        for case in 0..2_000u64 {
+            let lanes = (case % 33) as usize;
+            let elem = [1u64, 4, 8, 48][(case % 4) as usize];
+            let base = case * 4096;
+            let addrs: Vec<u64> = (0..lanes as u64)
+                .map(|lane| {
+                    x = x
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    match case % 3 {
+                        0 => base + lane * elem,         // monotone range
+                        1 => base + (x >> 40) % 512,     // scattered
+                        _ => base + (lane / 4) * 32 + 2, // adjacent repeats
+                    }
+                })
+                .collect();
+            let mut want: Vec<u64> = addrs
+                .iter()
+                .flat_map(|&a| (a >> 5)..=((a + elem - 1) >> 5))
+                .collect();
+            want.sort_unstable();
+            want.dedup();
+            coalesce(&mut out, &addrs, elem, 5);
+            assert_eq!(out, want, "case {case}");
+        }
     }
 
     #[test]
