@@ -10,18 +10,13 @@ echo "== cargo clippy (-D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== sage-lint: workspace invariant checker =="
-# deny-by-default repo-specific static analysis: replay-join discipline on
-# Device, dirty-annotation justifications + sanitize-matrix coverage,
+# deny-by-default repo-specific static analysis: dirty-annotation
+# justifications + sanitize-matrix coverage,
 # determinism lints (hash iteration / wall clock / unordered reduces), and
 # lock-poison recovery on the serving path. Any violation without a
 # justified `// sage-lint: allow(<rule>)` marker exits 1; so do stale or
 # malformed markers. The linter's own fixture suite runs under cargo test.
 cargo run -q -p sage-lint -- --workspace
-
-echo "== replay handoff model check (exhaustive interleavings) =="
-# loom-style DFS over every host/replay-thread interleaving of the async
-# replay double-buffer protocol, plus mutant protocols that must fail
-cargo test -q -p gpu-sim --features model --test replay_model
 
 echo "== cargo test =="
 cargo test -q --workspace
@@ -35,52 +30,45 @@ echo "== rustdoc (no broken intra-doc links) =="
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --no-deps --workspace -q
 
 echo "== race sanitizer: all engines hazard-free, bitwise cost-neutral =="
-# full matrix (7 engines x BFS/CC/PR x push/adaptive x 1 and 4 host
-# threads, sanitize on == sanitize off bit for bit) lives in the test
+# full matrix (7 engines x BFS/CC/PR x push/adaptive, sanitize on ==
+# sanitize off bit for bit) lives in the test
 cargo test --release -q -p sage --test sanitize
 # CLI-level smoke: SAGE_SANITIZE=1 must leave the exit code at 0 (any
 # detected hazard makes sage_cli exit 1)
 for eng in sage sage-tp naive b40c tigr gunrock; do
   for app in bfs cc pr; do
-    for t in 1 4; do
-      SAGE_SANITIZE=1 cargo run --release -q -p sage-bench --bin sage_cli -- \
-        "$app" --dataset brain --scale 0.05 --engine "$eng" --threads "$t" > /dev/null
-    done
+    SAGE_SANITIZE=1 cargo run --release -q -p sage-bench --bin sage_cli -- \
+      "$app" --dataset brain --scale 0.05 --engine "$eng" > /dev/null
   done
 done
 for app in bfs cc pr; do
   SAGE_SANITIZE=1 cargo run --release -q -p sage-bench --bin sage_cli -- \
-    "$app" --dataset brain --scale 0.05 --engine subway --out-of-core --threads 4 > /dev/null
+    "$app" --dataset brain --scale 0.05 --engine subway --out-of-core > /dev/null
 done
 
 echo "== race sanitizer: matrix/SpMV pipeline hazard-free =="
 # the tensor-core SpMV direction: matrix-forced and adaptive-3-way runs on
-# the dedicated spmv engine plus the default engine, sanitized, 1 and 4
-# host threads — any cross-SM hazard exits 1
+# the dedicated spmv engine plus the default engine, sanitized — any
+# cross-SM hazard exits 1
 for eng in spmv sage; do
   for app in bfs cc pr; do
-    for t in 1 4; do
-      SAGE_SANITIZE=1 cargo run --release -q -p sage-bench --bin sage_cli -- \
-        "$app" --dataset brain --scale 0.05 --engine "$eng" --mode matrix \
-        --threads "$t" > /dev/null
-    done
+    SAGE_SANITIZE=1 cargo run --release -q -p sage-bench --bin sage_cli -- \
+      "$app" --dataset brain --scale 0.05 --engine "$eng" --mode matrix > /dev/null
   done
   SAGE_SANITIZE=1 cargo run --release -q -p sage-bench --bin sage_cli -- \
-    bfs --dataset brain --scale 0.05 --engine "$eng" --mode adaptive --threads 4 > /dev/null
+    bfs --dataset brain --scale 0.05 --engine "$eng" --mode adaptive > /dev/null
 done
 
 echo "== race sanitizer: walk kernels hazard-free for both apps and samplers =="
 for app in ppr node2vec; do
   for sampler in its alias; do
-    for t in 1 4; do
-      SAGE_SANITIZE=1 cargo run --release -q -p sage-bench --bin sage_cli -- \
-        walk --dataset brain --scale 0.05 --walk-app "$app" --sampler "$sampler" \
-        --walks 64 --length 16 --threads "$t" > /dev/null
-    done
+    SAGE_SANITIZE=1 cargo run --release -q -p sage-bench --bin sage_cli -- \
+      walk --dataset brain --scale 0.05 --walk-app "$app" --sampler "$sampler" \
+      --walks 64 --length 16 > /dev/null
   done
 done
 
-echo "== determinism (release): parallel simulation == sequential, bit for bit =="
+echo "== determinism (release): reruns reproduce the simulation bit for bit =="
 # covers push-only, adaptive-3-way, and matrix-forced pipelines
 cargo test --release -q -p sage --test prop_determinism
 cargo test --release -q -p sage --test prop_direction
@@ -90,49 +78,23 @@ cargo test --release -q -p gpu-sim kernel::
 echo "== traversal_bench (writes BENCH_traversal.json) =="
 # asserts adaptive >= push-only on BFS and bitwise-identical outputs,
 # and self-validates the emitted JSON — a non-zero exit fails CI.
-# Runs at 1 and 4 host threads; the host sweep line prints the measured
-# speedup of the SM-sharded backend over the sequential path.
-cargo run --release -q -p sage-bench --bin traversal_bench -- --threads 1
-cargo run --release -q -p sage-bench --bin traversal_bench -- --threads 4
+cargo run --release -q -p sage-bench --bin traversal_bench
 test -s BENCH_traversal.json || { echo "BENCH_traversal.json missing"; exit 1; }
 
 echo "== walk_bench (writes BENCH_walk.json) =="
-# asserts 1-vs-N-thread walk batches are bitwise identical, MC-PPR top-k
-# tracks power-iteration PageRank, and >= 1000 concurrent walk queries
-# fuse into one serve-layer launch; self-validates the emitted JSON.
-cargo run --release -q -p sage-bench --bin walk_bench -- --threads 1
-cargo run --release -q -p sage-bench --bin walk_bench -- --threads 4
+# asserts MC-PPR top-k tracks power-iteration PageRank and >= 1000
+# concurrent walk queries fuse into one serve-layer launch; self-validates
+# the emitted JSON.
+cargo run --release -q -p sage-bench --bin walk_bench
 test -s BENCH_walk.json || { echo "BENCH_walk.json missing"; exit 1; }
 
 echo "== serve_bench (writes BENCH_serve.json) =="
 cargo run --release -q -p sage-bench --bin serve_bench
 
-echo "== scale_bench smoke (replay-gate sweep at scale 14) =="
-# 1 vs 4 host threads on an R-MAT 2^14 graph: always enforces bitwise
-# determinism across thread counts; additionally fails on speedup_vs_1t
-# < 1.0 when the host has >= 4 cores to parallelise over (on smaller
-# hosts the sharded path cannot win wall-clock and is only recorded).
+echo "== scale_bench smoke (R-MAT scale 14) =="
+# bitwise determinism on a rerun, plus the out-of-core and sanitizer rows
 cargo run --release -q -p sage-bench --bin scale_bench -- --smoke --out BENCH_scale_smoke.json
 test -s BENCH_scale_smoke.json || { echo "BENCH_scale_smoke.json missing"; exit 1; }
-
-echo "== perf regression: scale-smoke 4-thread speedup vs recorded baseline =="
-# Recorded on a >= 4-core host from BENCH_scale.json's smoke-equivalent row;
-# ratchet upward when the replay backend improves. On hosts without 4 cores
-# the sharded path cannot win wall-clock, so the gate is skipped (the smoke
-# JSON's speedup_enforced/speedup_enforced_reason fields say the same).
-SCALE_SMOKE_BASELINE="1.0"
-CORES=$(nproc 2>/dev/null || echo 1)
-if [ "$CORES" -ge 4 ]; then
-  SPEEDUP=$(grep -o '"threads": 4[^}]*' BENCH_scale_smoke.json \
-    | grep -o '"speedup_vs_1t": [0-9.]*' | head -1 | grep -o '[0-9.]*$')
-  echo "4-thread speedup_vs_1t: ${SPEEDUP} (baseline ${SCALE_SMOKE_BASELINE}, ${CORES} cores)"
-  awk -v s="$SPEEDUP" -v b="$SCALE_SMOKE_BASELINE" 'BEGIN { exit !(s+0 >= b+0) }' || {
-    echo "FAIL: 4-thread speedup ${SPEEDUP} dropped below baseline ${SCALE_SMOKE_BASELINE}"
-    exit 1
-  }
-else
-  echo "SKIP: host has ${CORES} core(s) (< 4) — sharded replay has no cores to win on; speedup gate not enforced"
-fi
 rm -f BENCH_scale_smoke.json
 
 echo "CI OK"

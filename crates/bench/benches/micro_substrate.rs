@@ -6,7 +6,7 @@
 //! ```
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use gpu_sim::{AccessKind, Device, DeviceConfig, SectorCache, SlicedCache};
+use gpu_sim::{AccessKind, Device, DeviceConfig, SectorCache};
 use sage::app::{App, Bfs};
 use sage::engine::spmv::matrix_iterate;
 use sage::frontier::BitFrontier;
@@ -31,28 +31,6 @@ fn bench_cache_probe(c: &mut Criterion) {
     });
 }
 
-/// The default device's L2 as the simulator builds it: 16 address-sliced
-/// slices of 192 sets each, so the set index takes the modulo path.
-fn bench_sliced_l2_probe(c: &mut Criterion) {
-    let cfg = DeviceConfig::default();
-    let mut l2 = SlicedCache::new(
-        cfg.l2.lines(cfg.line_bytes),
-        cfg.l2.ways,
-        cfg.sectors_per_line(),
-    );
-    let mut i = 0u64;
-    c.bench_function("substrate/sliced_l2_probe_x1024", |b| {
-        b.iter(|| {
-            let mut hits = 0u32;
-            for _ in 0..REQUESTS {
-                i = (i + 97) % 400_000;
-                hits += u32::from(!l2.access(i).is_miss());
-            }
-            black_box(hits)
-        })
-    });
-}
-
 fn bench_warp_access(c: &mut Criterion) {
     let mut dev = Device::new(DeviceConfig::default());
     let addrs: Vec<u64> = (0..32).map(|i| 4096 + i * 128).collect();
@@ -69,7 +47,6 @@ fn bench_warp_access(c: &mut Criterion) {
 /// (a CSR range: the coalescer never sorts) and shuffled (it must).
 fn bench_warp_access_order(c: &mut Criterion) {
     let mut dev = Device::new(DeviceConfig::default());
-    dev.set_host_threads(1);
     let monotone: Vec<u64> = (0..32).map(|i| i * 4).collect();
     let mut shuffled = monotone.clone();
     // fixed permutation: stride 13 is coprime to 32
@@ -98,7 +75,6 @@ fn bench_warp_access_order(c: &mut Criterion) {
 /// the frontier holds every fourth vertex, so most rows claim early.
 fn bench_matrix_iterate(c: &mut Criterion) {
     let mut dev = Device::new(DeviceConfig::default());
-    dev.set_host_threads(1);
     let g = DeviceGraph::upload(&mut dev, rmat_graph(12, 16, 3)).with_in_edges(&mut dev);
     let n = g.csr().num_nodes();
     let bitmap = dev.alloc_array::<u64>(n.div_ceil(64), 0);
@@ -126,7 +102,6 @@ fn bench_permutation_apply(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_cache_probe,
-    bench_sliced_l2_probe,
     bench_warp_access,
     bench_warp_access_order,
     bench_matrix_iterate,

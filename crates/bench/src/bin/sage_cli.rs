@@ -3,8 +3,7 @@
 //! ```text
 //! sage_cli <app> [--graph FILE | --dataset NAME] [--engine NAME]
 //!          [--source N] [--scale F] [--repeat N] [--out-of-core] [--profile]
-//!          [--mode push|adaptive|matrix] [--push-only] [--threads N] [--sanitize]
-//!          [--replay-gate N] [--no-elision]
+//!          [--mode push|adaptive|matrix] [--push-only] [--sanitize]
 //!
 //!   app       bfs | bc | pr | cc | sssp | mis | kcore | walk | serve
 //!   --graph   edge-list file ("u v" per line, # comments) or .sagecsr binary
@@ -24,24 +23,11 @@
 //!             engine and graph allow it (falling back to push otherwise).
 //!             Every mode produces bitwise-identical application output.
 //!   --push-only shorthand for --mode push (kept for compatibility)
-//!   --threads host threads for the SM-sharded simulation. Precedence:
-//!             this flag > the SAGE_HOST_THREADS environment variable > all
-//!             available cores; always clamped to the device's SM count.
-//!             1 = the sequential reference path (results are bitwise
-//!             identical either way).
 //!   --sanitize run the simulated kernels under the race sanitizer; any
 //!             detected cross-SM hazard is printed and makes the process
 //!             exit 1. Sanitized runs report bitwise-identical cycles and
 //!             cache counters. The SAGE_SANITIZE environment variable is an
 //!             equivalent switch (0/false/off/no disables).
-//!   --replay-gate N  probe-count threshold below which traced kernels
-//!             replay inline instead of on sharded workers; mirrors the
-//!             SAGE_REPLAY_GATE environment variable. Host-side only —
-//!             simulated results are bitwise identical at any gate.
-//!   --no-elision disable streaming-probe elision: cache-bypassing scan
-//!             reads ride the replay streams and are charged during replay
-//!             instead of eagerly at record time; mirrors SAGE_ELISION=0.
-//!             Host-side only — results are bitwise identical either way.
 //!
 //! serve mode (concurrent query service over a device pool):
 //!   sage_cli serve [--graph FILE | --dataset NAME] [--devices N] [--requests N]
@@ -49,8 +35,7 @@
 //! walk mode (deterministic random-walk engine on the adaptive runtime):
 //!   sage_cli walk [--graph FILE | --dataset NAME] [--walk-app ppr|node2vec]
 //!            [--walks N] [--length N] [--alpha F] [--p F] [--q F] [--seed N]
-//!            [--sampler its|alias] [--source N] [--threads N] [--sanitize]
-//!            [--profile]
+//!            [--sampler its|alias] [--source N] [--sanitize] [--profile]
 //!
 //!   --walk-app ppr (default) | node2vec
 //!   --walks   walkers launched per source (default 256)
@@ -58,7 +43,7 @@
 //!   --alpha   PPR termination probability per step (default 0.15)
 //!   --p, --q  node2vec return / in-out parameters (default 1.0 each)
 //!   --seed    base of the counter RNG; same seed = bitwise-identical
-//!             walks at any host thread count (default 42)
+//!             walks (default 42)
 //!   --sampler its (inverse transform over the CSR row, default) | alias
 //!             (epoch-cached alias table; O(1) draws on weighted rows)
 //! ```
@@ -91,10 +76,7 @@ struct Args {
     out_of_core: bool,
     profile: bool,
     mode: String,
-    threads: Option<usize>,
     sanitize: bool,
-    replay_gate: Option<usize>,
-    elision: bool,
     devices: usize,
     requests: usize,
     walk_app: String,
@@ -112,13 +94,12 @@ fn usage() -> ! {
         "usage: sage_cli <bfs|bc|pr|cc|sssp|mis|kcore> [--graph FILE | --dataset NAME] \
          [--engine sage|sage-tp|naive|spmv|b40c|tigr|gunrock|ligra] [--source N] \
          [--scale F] [--repeat N] [--out-of-core] [--profile] \
-         [--mode push|adaptive|matrix] [--push-only] [--threads N] \
-         [--sanitize] [--replay-gate N] [--no-elision]\n\
+         [--mode push|adaptive|matrix] [--push-only] [--sanitize]\n\
          \x20      sage_cli serve [--graph FILE | --dataset NAME] [--devices N] [--requests N] \
          [--sanitize]\n\
          \x20      sage_cli walk [--graph FILE | --dataset NAME] [--walk-app ppr|node2vec] \
          [--walks N] [--length N] [--alpha F] [--p F] [--q F] [--seed N] \
-         [--sampler its|alias] [--source N] [--threads N] [--sanitize] [--profile]"
+         [--sampler its|alias] [--source N] [--sanitize] [--profile]"
     );
     exit(2)
 }
@@ -145,10 +126,7 @@ fn parse_args() -> Args {
         out_of_core: false,
         profile: false,
         mode: "adaptive".into(),
-        threads: None,
         sanitize: false,
-        replay_gate: None,
-        elision: true,
         devices: 2,
         requests: 64,
         walk_app: "ppr".into(),
@@ -178,14 +156,7 @@ fn parse_args() -> Args {
             "--profile" => args.profile = true,
             "--mode" => args.mode = value("--mode"),
             "--push-only" => args.mode = "push".into(),
-            "--threads" => {
-                args.threads = Some(value("--threads").parse().unwrap_or_else(|_| usage()));
-            }
             "--sanitize" => args.sanitize = true,
-            "--replay-gate" => {
-                args.replay_gate = Some(value("--replay-gate").parse().unwrap_or_else(|_| usage()));
-            }
-            "--no-elision" => args.elision = false,
             "--devices" => args.devices = value("--devices").parse().unwrap_or_else(|_| usage()),
             "--requests" => {
                 args.requests = value("--requests").parse().unwrap_or_else(|_| usage());
@@ -292,16 +263,9 @@ fn walk_mode(args: &Args, csr: Csr) {
     };
 
     let mut dev = Device::default_device();
-    if let Some(t) = args.threads {
-        dev.set_host_threads(t);
-    }
     if args.sanitize {
         dev.set_sanitize(true);
     }
-    if let Some(gate) = args.replay_gate {
-        dev.set_replay_gate(gate);
-    }
-    dev.set_elide_streaming(args.elision && dev.elide_streaming());
     println!(
         "graph: {} nodes, {} edges | app: {} | sampler: {} | {} walks x {} steps, seed {}",
         csr.num_nodes(),
@@ -316,10 +280,8 @@ fn walk_mode(args: &Args, csr: Csr) {
     let out = rt.run_walk(&mut dev, app.as_ref(), &spec, &[args.source]);
     let r = &out.report;
     println!(
-        "run 0: {r} | host {:.1} ms on {} thread{} | {} walkers, {} steps",
+        "run 0: {r} | host {:.1} ms | {} walkers, {} steps",
         r.host_seconds * 1e3,
-        r.host_threads,
-        if r.host_threads == 1 { "" } else { "s" },
         out.walkers,
         out.steps,
     );
@@ -471,23 +433,11 @@ fn main() {
     }
 
     let mut dev = Device::default_device();
-    if let Some(t) = args.threads {
-        // CLI beats SAGE_HOST_THREADS, which beat the all-cores default when
-        // the device was built; the setter clamps to [1, num_sms].
-        dev.set_host_threads(t);
-    }
     if args.sanitize {
         // the flag only ever turns the sanitizer on; SAGE_SANITIZE=0 without
         // --sanitize stays off
         dev.set_sanitize(true);
     }
-    if let Some(gate) = args.replay_gate {
-        // CLI beats SAGE_REPLAY_GATE, already folded into the device
-        dev.set_replay_gate(gate);
-    }
-    // --no-elision only ever turns elision off; SAGE_ELISION=0 without the
-    // flag stays off too
-    dev.set_elide_streaming(args.elision && dev.elide_streaming());
     let mut engine: Box<dyn Engine> = if args.out_of_core && args.engine == "subway" {
         Box::new(SubwayEngine::new(&mut dev, csr.num_edges()))
     } else {
@@ -523,12 +473,7 @@ fn main() {
     };
     for i in 0..args.repeat.max(1) {
         let r = runner.run(&mut dev, &g, engine.as_mut(), app.as_mut(), args.source);
-        println!(
-            "run {i}: {r} | host {:.1} ms on {} thread{}",
-            r.host_seconds * 1e3,
-            r.host_threads,
-            if r.host_threads == 1 { "" } else { "s" }
-        );
+        println!("run {i}: {r} | host {:.1} ms", r.host_seconds * 1e3);
     }
     if args.profile {
         println!("\nprofiler:\n{}", dev.profiler());

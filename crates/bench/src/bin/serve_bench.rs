@@ -190,7 +190,6 @@ fn main() {
         queue_capacity: queries * 2,
         ..ServiceConfig::default()
     };
-    let pool_sms = cfg.device_config.num_sms;
     let service = SageService::start(cfg);
     let csr = sage_graph::gen::uniform_graph(nodes, edges, 42);
     eprintln!(
@@ -247,35 +246,16 @@ fn main() {
         stats.cache_hit_rate * 100.0,
         stats.cache_entries,
     );
-    let replay_traced: u64 = stats.device_replay.iter().map(|r| r.traced_kernels).sum();
-    let replay_recorded: u64 = stats.device_replay.iter().map(|r| r.recorded_probes).sum();
-    let replay_elided: u64 = stats.device_replay.iter().map(|r| r.elided_probes).sum();
-    println!(
-        "replay:  {} traced kernels | {} probes recorded + {} elided | arena high-water {:.2} MiB",
-        replay_traced,
-        replay_recorded,
-        replay_elided,
-        stats.arena_high_water_mib(),
-    );
-
-    // spare-core budget the workers may use when their queue is drained
-    // (1 under load: concurrency comes from the device pool instead)
-    let spare_threads = gpu_sim::default_host_threads(pool_sms);
     let json = format!(
         "{{\n  \"bench\": \"serve\",\n  \"devices\": {},\n  \"queries_per_phase\": {},\n  \
          \"graph_nodes\": {},\n  \"graph_epoch\": {},\n  \
-         \"host_spare_threads\": {spare_threads},\n  \
          \"overall_cache_hit_rate\": {:.4},\n  \
-         \"replay\": {{\"traced_kernels\": {replay_traced}, \
-         \"recorded_probes\": {replay_recorded}, \"elided_probes\": {replay_elided}, \
-         \"arena_high_water_mib\": {:.4}}},\n  \
          \"phases\": [\n    {},\n    {},\n    {}\n  ]\n}}\n",
         devices,
         queries,
         nodes,
         epoch,
         stats.cache_hit_rate,
-        stats.arena_high_water_mib(),
         cold.json(),
         adapt.json(),
         warm.json(),

@@ -9,15 +9,8 @@
 //! per-iteration direction trace, per-mode iteration counts, and both
 //! measurements to `BENCH_traversal.json` for the perf trajectory.
 //!
-//! Also sweeps the SM-sharded host backend: the BFS adaptive run repeats
-//! with 1 host thread and with the configured budget, checks the two are
-//! bitwise identical, and records host wall-clock plus the speedup over the
-//! sequential path in the JSON (`host` object).
-//!
-//! Knobs:
-//! - `SAGE_SCALE`  node-count scale factor (default 1.0 → 6000 nodes)
-//! - `--threads N` host threads for the sweep (default: `SAGE_HOST_THREADS`,
-//!   else all cores; clamped to the device's SM count)
+//! Knob: `SAGE_SCALE`, the node-count scale factor (default 1.0 → 6000
+//! nodes).
 
 use gpu_sim::{Device, DeviceConfig};
 use sage::app::{Bfs, Cc, PageRank};
@@ -35,15 +28,8 @@ fn env_f64(name: &str, default: f64) -> f64 {
 
 /// One measured run: the report plus the app's output as raw bit patterns
 /// (so float outputs compare bitwise, not approximately).
-fn run_app(
-    csr: &Csr,
-    app_name: &str,
-    source: u32,
-    runner: &Runner,
-    threads: usize,
-) -> (RunReport, Vec<u32>) {
+fn run_app(csr: &Csr, app_name: &str, source: u32, runner: &Runner) -> (RunReport, Vec<u32>) {
     let mut dev = Device::new(DeviceConfig::scaled_rtx_8000(0.05));
-    dev.set_host_threads(threads);
     let g = DeviceGraph::upload(&mut dev, csr.clone()).with_in_edges(&mut dev);
     let mut engine = ResidentEngine::new();
     match app_name {
@@ -79,7 +65,7 @@ fn report_json(r: &RunReport) -> String {
         "{{\"iterations\": {}, \"edges\": {}, \"edges_examined\": {}, \
          \"seconds\": {:.9}, \"gteps\": {:.4}, \"trace\": \"{}\", \
          \"modes\": {{\"push\": {}, \"pull\": {}, \"matrix\": {}}}, \
-         \"converged\": {}, \"host_seconds\": {:.6}, \"host_threads\": {}}}",
+         \"converged\": {}, \"host_seconds\": {:.6}}}",
         r.iterations,
         r.edges,
         r.edges_examined,
@@ -91,7 +77,6 @@ fn report_json(r: &RunReport) -> String {
         mode_count(r, 'M'),
         r.converged,
         r.host_seconds,
-        r.host_threads,
     )
 }
 
@@ -99,22 +84,9 @@ use sage_bench::validate_json;
 
 fn main() {
     let scale = env_f64("SAGE_SCALE", 1.0);
-    let mut threads_flag: Option<usize> = None;
-    let mut argv = std::env::args().skip(1);
-    while let Some(flag) = argv.next() {
-        match flag.as_str() {
-            "--threads" => {
-                threads_flag = argv.next().and_then(|v| v.parse().ok());
-                if threads_flag.is_none() {
-                    eprintln!("--threads needs a positive integer");
-                    std::process::exit(2);
-                }
-            }
-            other => {
-                eprintln!("unknown flag {other:?} (only --threads N is accepted)");
-                std::process::exit(2);
-            }
-        }
+    if let Some(flag) = std::env::args().nth(1) {
+        eprintln!("unknown flag {flag:?} (traversal_bench takes none)");
+        std::process::exit(2);
     }
     let nodes = ((6_000.0 * scale) as usize).max(512);
     let csr = social_graph(&SocialParams {
@@ -125,12 +97,8 @@ fn main() {
         ..SocialParams::default()
     });
     let (source, _) = csr.max_degree();
-    let num_sms = DeviceConfig::scaled_rtx_8000(0.05).num_sms;
-    let host_threads = threads_flag
-        .unwrap_or_else(|| gpu_sim::default_host_threads(num_sms))
-        .clamp(1, num_sms);
     eprintln!(
-        "traversal_bench: {} nodes / {} edges, source {source}, {host_threads} host threads",
+        "traversal_bench: {} nodes / {} edges, source {source}",
         csr.num_nodes(),
         csr.num_edges()
     );
@@ -138,8 +106,8 @@ fn main() {
     let mut failed = false;
     let mut app_jsons: Vec<String> = Vec::new();
     for app in ["bfs", "pr", "cc"] {
-        let (push, out_push) = run_app(&csr, app, source, &Runner::push_only(), host_threads);
-        let (adaptive, out_adaptive) = run_app(&csr, app, source, &Runner::new(), host_threads);
+        let (push, out_push) = run_app(&csr, app, source, &Runner::push_only());
+        let (adaptive, out_adaptive) = run_app(&csr, app, source, &Runner::new());
         let identical = out_push == out_adaptive;
         let speedup = push.seconds / adaptive.seconds.max(f64::MIN_POSITIVE);
         println!(
@@ -214,8 +182,8 @@ fn main() {
         policy: DirectionPolicy::adaptive(),
         ..Runner::default()
     };
-    let (pull, out_pull) = run_app(&csr, "bfs", source, &two_way, host_threads);
-    let (push_ref, out_push_ref) = run_app(&csr, "bfs", source, &Runner::push_only(), host_threads);
+    let (pull, out_pull) = run_app(&csr, "bfs", source, &two_way);
+    let (push_ref, out_push_ref) = run_app(&csr, "bfs", source, &Runner::push_only());
     let pull_iters = mode_count(&pull, '<');
     println!(
         "bfs two-way  {:>2} iters {:>9} edges examined  {:>10.6} ms  {:>7.3} GTEPS  [{}]  outputs {}",
@@ -246,42 +214,12 @@ fn main() {
         report_json(&pull),
     ));
 
-    // ---- SM-sharded host backend sweep: sequential vs threaded on the
-    // same workload must agree bit for bit, while host wall-clock shrinks
-    // with real cores (on a single-core host the ratio honestly hovers
-    // around 1x; the JSON records whatever was measured).
-    let (seq, out_seq) = run_app(&csr, "bfs", source, &Runner::new(), 1);
-    let (par, out_par) = run_app(&csr, "bfs", source, &Runner::new(), host_threads);
-    let bitwise = out_seq == out_par
-        && seq.seconds.to_bits() == par.seconds.to_bits()
-        && seq.edges_examined == par.edges_examined
-        && seq.direction_trace == par.direction_trace;
-    let host_speedup = seq.host_seconds / par.host_seconds.max(f64::MIN_POSITIVE);
-    println!(
-        "host sweep: bfs adaptive  1 thread {:>8.2} ms | {} threads {:>8.2} ms | {:.2}x  sim outputs {}",
-        seq.host_seconds * 1e3,
-        par.host_threads,
-        par.host_seconds * 1e3,
-        host_speedup,
-        if bitwise { "identical" } else { "DIVERGED" },
-    );
-    if !bitwise {
-        eprintln!("FAIL: threaded simulation diverged from the sequential path");
-        failed = true;
-    }
-
     let json = format!(
         "{{\n  \"bench\": \"traversal\",\n  \"graph_nodes\": {},\n  \
          \"graph_edges\": {},\n  \"source\": {source},\n  \
-         \"host\": {{\"threads\": {}, \"seconds_1t\": {:.6}, \"seconds_nt\": {:.6}, \
-         \"speedup_vs_1t\": {:.4}, \"bitwise_identical\": {bitwise}}},\n  \
          \"apps\": [\n    {}\n  ]\n}}\n",
         csr.num_nodes(),
         csr.num_edges(),
-        par.host_threads,
-        seq.host_seconds,
-        par.host_seconds,
-        host_speedup,
         app_jsons.join(",\n    "),
     );
     if let Err(e) = validate_json(&json) {

@@ -1,6 +1,6 @@
 //! `walk_bench` — throughput and fidelity of the deterministic walk engine.
 //!
-//! Four measurements on a scrambled power-law social graph, written to
+//! Three measurements on a scrambled power-law social graph, written to
 //! `BENCH_walk.json` for the perf trajectory:
 //!
 //! 1. **Sampler throughput** — PPR walk batches under synthetic edge
@@ -8,68 +8,29 @@
 //!    row) and once with the epoch-cached alias table (O(1) draws after an
 //!    amortized build), reporting walks/sec and steps/sec of simulated
 //!    device time for each.
-//! 2. **Host-thread sweep** — every (app, sampler) pair runs at 1 host
-//!    thread and at the configured budget; endpoints, visit counters, step
-//!    totals, and simulated cycles must agree bit for bit.
-//! 3. **MC-PPR fidelity** — walks started uniformly from *every* node with
+//! 2. **MC-PPR fidelity** — walks started uniformly from *every* node with
 //!    restart-to-source at rate `alpha = 1 - DAMPING` aggregate into a
 //!    Monte-Carlo PageRank estimate; its top-k must overlap the
 //!    power-iteration `pagerank` top-k in at least `k * 0.6` positions
 //!    (the documented tolerance — MC endpoint counts are exact in
 //!    expectation but carry sampling noise in the tail).
-//! 4. **Serve fusion** — a single-worker service is pinned by one heavy
+//! 3. **Serve fusion** — a single-worker service is pinned by one heavy
 //!    PageRank query while >1000 walk queries pile up behind it; they must
 //!    fuse into one launch (max observed batch ≥ 1000).
-//!
-//! Knobs: `--threads N` (default: `SAGE_HOST_THREADS`, else all cores;
-//! clamped to the device's SM count).
 
 use gpu_sim::{Device, DeviceConfig};
 use sage::app::PageRank;
 use sage::engine::ResidentEngine;
-use sage::walk::{Node2vec, Ppr, SamplerKind, WalkApp, WalkSpec, WalkWeights};
+use sage::walk::{Ppr, SamplerKind, WalkApp, WalkOutput, WalkSpec, WalkWeights};
 use sage::{DeviceGraph, Runner, SageRuntime};
 use sage_graph::gen::{social_graph, SocialParams};
 use sage_graph::Csr;
 
-/// Bit-exact fingerprint of one walk batch: outputs plus simulated time.
-#[derive(PartialEq, Eq)]
-struct Fingerprint {
-    endpoints: Vec<u32>,
-    visits: Vec<u32>,
-    steps: u64,
-    seconds_bits: u64,
-}
-
-struct WalkRun {
-    fp: Fingerprint,
-    walkers: usize,
-    seconds: f64,
-    host_seconds: f64,
-}
-
-fn run_walk(
-    csr: &Csr,
-    app: &dyn WalkApp,
-    spec: &WalkSpec,
-    sources: &[u32],
-    threads: usize,
-) -> WalkRun {
+/// One walk batch on a fresh device.
+fn run_walk(csr: &Csr, app: &dyn WalkApp, spec: &WalkSpec, sources: &[u32]) -> WalkOutput {
     let mut dev = Device::new(DeviceConfig::scaled_rtx_8000(0.05));
-    dev.set_host_threads(threads);
     let mut rt = SageRuntime::new(&mut dev, csr.clone());
-    let out = rt.run_walk(&mut dev, app, spec, sources);
-    WalkRun {
-        fp: Fingerprint {
-            endpoints: out.endpoints.clone(),
-            visits: out.visits.clone(),
-            steps: out.steps,
-            seconds_bits: out.report.seconds.to_bits(),
-        },
-        walkers: out.walkers,
-        seconds: out.report.seconds,
-        host_seconds: out.report.host_seconds,
-    }
+    rt.run_walk(&mut dev, app, spec, sources)
 }
 
 /// Power-iteration PageRank reference on a fresh device (original ids).
@@ -136,27 +97,10 @@ fn serve_fusion(requests: usize) -> (usize, usize) {
 use sage_bench::validate_json;
 
 fn main() {
-    let mut threads_flag: Option<usize> = None;
-    let mut argv = std::env::args().skip(1);
-    while let Some(flag) = argv.next() {
-        match flag.as_str() {
-            "--threads" => {
-                threads_flag = argv.next().and_then(|v| v.parse().ok());
-                if threads_flag.is_none() {
-                    eprintln!("--threads needs a positive integer");
-                    std::process::exit(2);
-                }
-            }
-            other => {
-                eprintln!("unknown flag {other:?} (only --threads N is accepted)");
-                std::process::exit(2);
-            }
-        }
+    if let Some(flag) = std::env::args().nth(1) {
+        eprintln!("unknown flag {flag:?} (walk_bench takes none)");
+        std::process::exit(2);
     }
-    let num_sms = DeviceConfig::scaled_rtx_8000(0.05).num_sms;
-    let host_threads = threads_flag
-        .unwrap_or_else(|| gpu_sim::default_host_threads(num_sms))
-        .clamp(1, num_sms);
 
     let csr = social_graph(&SocialParams {
         nodes: 1_500,
@@ -167,7 +111,7 @@ fn main() {
     });
     let (hub, _) = csr.max_degree();
     eprintln!(
-        "walk_bench: {} nodes / {} edges, hub {hub}, {host_threads} host threads",
+        "walk_bench: {} nodes / {} edges, hub {hub}",
         csr.num_nodes(),
         csr.num_edges()
     );
@@ -187,15 +131,16 @@ fn main() {
             sampler,
             weights: WalkWeights::Synthetic,
         };
-        let r = run_walk(&csr, &ppr, &spec, &sources, host_threads);
-        let walks_per_sec = r.walkers as f64 / r.seconds.max(f64::MIN_POSITIVE);
-        let steps_per_sec = r.fp.steps as f64 / r.seconds.max(f64::MIN_POSITIVE);
+        let r = run_walk(&csr, &ppr, &spec, &sources);
+        let seconds = r.report.seconds;
+        let walks_per_sec = r.walkers as f64 / seconds.max(f64::MIN_POSITIVE);
+        let steps_per_sec = r.steps as f64 / seconds.max(f64::MIN_POSITIVE);
         println!(
             "throughput {:<5} {:>6} walks {:>8} steps  {:>9.4} ms  {:>12.0} walks/s  {:>12.0} steps/s",
             sampler.name(),
             r.walkers,
-            r.fp.steps,
-            r.seconds * 1e3,
+            r.steps,
+            seconds * 1e3,
             walks_per_sec,
             steps_per_sec,
         );
@@ -205,54 +150,13 @@ fn main() {
              \"host_seconds\": {:.6}}}",
             sampler.name(),
             r.walkers,
-            r.fp.steps,
-            r.seconds,
-            r.host_seconds,
+            r.steps,
+            seconds,
+            r.report.host_seconds,
         ));
     }
 
-    // ---- 2. host-thread sweep: 1 vs N must be bit-identical --------------
-    let n2v = Node2vec::new(2.0, 0.5);
-    let mut sweep_jsons = Vec::new();
-    let mut all_bitwise = true;
-    for (app, app_ref) in [("ppr", &ppr as &dyn WalkApp), ("node2vec", &n2v)] {
-        for sampler in [SamplerKind::Its, SamplerKind::Alias] {
-            let spec = WalkSpec {
-                walks_per_source: 64,
-                max_length: 16,
-                seed: 7,
-                sampler,
-                weights: WalkWeights::Synthetic,
-            };
-            let seq = run_walk(&csr, app_ref, &spec, &sources[..4], 1);
-            let par = run_walk(&csr, app_ref, &spec, &sources[..4], host_threads);
-            let bitwise = seq.fp == par.fp;
-            println!(
-                "sweep {app:<8} {:<5} 1t {:>7.2} ms | {host_threads}t {:>7.2} ms | outputs {}",
-                sampler.name(),
-                seq.host_seconds * 1e3,
-                par.host_seconds * 1e3,
-                if bitwise { "identical" } else { "DIVERGED" },
-            );
-            if !bitwise {
-                eprintln!(
-                    "FAIL: {app}/{} diverged across host threads",
-                    sampler.name()
-                );
-                failed = true;
-                all_bitwise = false;
-            }
-            sweep_jsons.push(format!(
-                "{{\"app\": \"{app}\", \"sampler\": \"{}\", \"bitwise_identical\": {bitwise}, \
-                 \"host_seconds_1t\": {:.6}, \"host_seconds_nt\": {:.6}}}",
-                sampler.name(),
-                seq.host_seconds,
-                par.host_seconds,
-            ));
-        }
-    }
-
-    // ---- 3. MC-PPR vs power-iteration PageRank ---------------------------
+    // ---- 2. MC-PPR    // ---- 3. MC-PPR vs power-iteration PageRank ---------------------------
     // Restart-to-source walks launched uniformly from every node estimate
     // global PageRank with uniform teleport; alpha matches 1 - DAMPING.
     let k = 10usize;
@@ -270,12 +174,11 @@ fn main() {
         &Ppr::new((1.0 - sage::app::pagerank::DAMPING) as f64),
         &spec,
         &all_sources,
-        host_threads,
     );
     let n = csr.num_nodes();
     let mut mc_scores = vec![0.0f32; n];
     for slot in 0..all_sources.len() {
-        for (v, &c) in mc.fp.endpoints[slot * n..(slot + 1) * n].iter().enumerate() {
+        for (v, &c) in mc.endpoints[slot * n..(slot + 1) * n].iter().enumerate() {
             mc_scores[v] += c as f32;
         }
     }
@@ -292,7 +195,7 @@ fn main() {
         failed = true;
     }
 
-    // ---- 4. serve-layer fusion -------------------------------------------
+    // ---- 3. serve-layer fusion -------------------------------------------
     let (fusion_requests, max_batch) = serve_fusion(1_200);
     println!(
         "serve fusion: {fusion_requests} concurrent walk queries, largest fused batch {max_batch}"
@@ -304,9 +207,7 @@ fn main() {
 
     let json = format!(
         "{{\n  \"bench\": \"walk\",\n  \"graph_nodes\": {},\n  \"graph_edges\": {},\n  \
-         \"host_threads\": {host_threads},\n  \
          \"throughput\": [\n    {}\n  ],\n  \
-         \"host_sweep\": {{\"bitwise_identical\": {all_bitwise}, \"cases\": [\n    {}\n  ]}},\n  \
          \"ppr_fidelity\": {{\"k\": {k}, \"overlap\": {overlap}, \"min_required\": {min_overlap}, \
          \"alpha\": {:.4}, \"walks_per_source\": {}}},\n  \
          \"serve_fusion\": {{\"requests\": {fusion_requests}, \"max_batch\": {max_batch}, \
@@ -314,7 +215,6 @@ fn main() {
         csr.num_nodes(),
         csr.num_edges(),
         throughput_jsons.join(",\n    "),
-        sweep_jsons.join(",\n    "),
         1.0 - sage::app::pagerank::DAMPING,
         spec.walks_per_source,
     );

@@ -42,8 +42,8 @@ impl DeviceGraph {
         let targets = dev.alloc_array::<u32>(csr.num_edges().max(1), 0);
         // Edge lists are scanned in single-touch streaming order; when the
         // array exceeds the L2 way capacity the device treats its reads as
-        // cache-bypassing (`ld.global.cs`) and the replay backend can elide
-        // them. Offsets stay cacheable — frontier expansion re-reads them.
+        // cache-bypassing (`ld.global.cs`). Offsets stay cacheable —
+        // frontier expansion re-reads them.
         dev.mark_streaming(targets.base(), csr.num_edges().max(1) as u64 * 4);
         Self {
             offsets_base: offsets.base(),

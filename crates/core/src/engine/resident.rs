@@ -240,7 +240,7 @@ impl Engine for ResidentEngine {
                     }
                 }
             }
-            k.finish_async();
+            k.finish();
         }
         // Table 3 reports the *scheduling* share; the fixed kernel-launch
         // cost is not scheduling work, so it is excluded.
@@ -298,7 +298,7 @@ impl Engine for ResidentEngine {
                     &mut scratch,
                 );
             }
-            k.finish_async();
+            k.finish();
         }
         out
     }

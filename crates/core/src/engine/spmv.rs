@@ -260,7 +260,7 @@ pub fn matrix_iterate(
         );
     }
 
-    k.finish_async();
+    k.finish();
     out.overhead_seconds = overhead_insts as f64 / issue / clock;
     out
 }

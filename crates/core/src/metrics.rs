@@ -79,8 +79,6 @@ pub struct RunReport {
     pub latency: LatencyBreakdown,
     /// Host wall-clock seconds the simulation itself took to run.
     pub host_seconds: f64,
-    /// Host threads the simulation was allowed to use (1 = sequential).
-    pub host_threads: usize,
     /// Hazards the race sanitizer attributed to this run's kernels (always
     /// empty when sanitizing is disabled).
     pub hazards: HazardReport,
@@ -123,7 +121,6 @@ impl RunReport {
         }
         self.latency.accumulate(&other.latency);
         self.host_seconds += other.host_seconds;
-        self.host_threads = self.host_threads.max(other.host_threads);
         self.hazards.merge(&other.hazards);
     }
 }
@@ -176,7 +173,6 @@ mod tests {
             converged: true,
             latency: LatencyBreakdown::default(),
             host_seconds: 0.0,
-            host_threads: 1,
             hazards: HazardReport::default(),
         }
     }

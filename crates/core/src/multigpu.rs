@@ -230,7 +230,7 @@ impl MultiGpuDriver {
                     for sm in 0..k.num_sms() {
                         k.exec_uniform(sm, per_dev.div_ceil(32 * k.num_sms() as u64).max(1));
                     }
-                    k.finish_async();
+                    k.finish();
                 }
             }
 
@@ -272,12 +272,6 @@ impl MultiGpuDriver {
             converged: iterations < 100_000,
             latency: crate::metrics::LatencyBreakdown::default(),
             host_seconds: host_start.elapsed().as_secs_f64(),
-            host_threads: self
-                .devices
-                .iter()
-                .map(Device::host_threads)
-                .max()
-                .unwrap_or(1),
             hazards: gpu_sim::HazardReport {
                 hazards: self
                     .devices

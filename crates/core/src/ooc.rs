@@ -179,7 +179,7 @@ impl Engine for UmOocEngine {
                 }
             }
         }
-        k.finish_async();
+        k.finish();
         out
     }
 

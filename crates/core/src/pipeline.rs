@@ -311,7 +311,7 @@ impl Runner {
                     next.dedup();
                 }
                 charge_contraction(&mut k, next.len(), frontier_buf.base());
-                k.finish_async();
+                k.finish();
             }
 
             if track {
@@ -345,7 +345,6 @@ impl Runner {
             converged,
             latency: crate::metrics::LatencyBreakdown::default(),
             host_seconds: host_start.elapsed().as_secs_f64(),
-            host_threads: dev.host_threads(),
             hazards: gpu_sim::HazardReport {
                 hazards: dev.hazards()[hazard_start..].to_vec(),
             },
@@ -370,7 +369,7 @@ impl Runner {
             // materialization
             k.access_range(sm, AccessKind::Read, base + done * 4, n, 4);
         }
-        k.finish_async();
+        k.finish();
     }
 }
 

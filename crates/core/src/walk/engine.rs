@@ -311,7 +311,7 @@ impl WalkEngine {
                 rec.flush(&mut sh);
             }
         }
-        k.finish_async();
+        k.finish();
 
         let report = RunReport {
             app: app.name().to_owned(),
@@ -328,7 +328,6 @@ impl WalkEngine {
             converged: app.fixed_length() || truncated == 0,
             latency: crate::metrics::LatencyBreakdown::default(),
             host_seconds: host_start.elapsed().as_secs_f64(),
-            host_threads: dev.host_threads(),
             hazards: gpu_sim::HazardReport {
                 hazards: dev.hazards()[hazard_start..].to_vec(),
             },
@@ -433,7 +432,7 @@ impl WalkEngine {
             k.access_range(sm, AccessKind::Write, prob.addr(lo), cnt, 4);
             k.access_range(sm, AccessKind::Write, alias_idx.addr(lo), cnt, 4);
         }
-        k.finish_async();
+        k.finish();
         self.alias = Some(AliasCache {
             epoch,
             weights,

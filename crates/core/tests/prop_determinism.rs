@@ -1,10 +1,11 @@
-//! Determinism suite for the SM-sharded parallel simulation backend: on
-//! random power-law graphs, running the same traversal with 2, 4, or 8 host
-//! threads must produce **bitwise identical** results to the sequential
-//! path — application outputs, simulated cycles, and every cache counter
-//! (L1/L2 hits, DRAM sectors) — across BFS/CC/PR, in the push-only, the
-//! adaptive three-way (push/pull/matrix), and the matrix-forced (masked
-//! SpMV) pipelines, on every pull-capable engine.
+//! Determinism suite for the simulator: on random power-law graphs, running
+//! the same traversal again on a fresh device with a fresh engine must
+//! produce **bitwise identical** results — application outputs, simulated
+//! cycles, and every cache counter (L1/L2 hits, DRAM sectors) — across
+//! BFS/CC/PR, in the push-only, the adaptive three-way (push/pull/matrix),
+//! and the matrix-forced (masked SpMV) pipelines, on every pull-capable
+//! engine. Hidden state (hash iteration order, statics, engine state that
+//! leaks between instances) shows up here as a diverging rerun.
 
 use gpu_sim::{Device, DeviceConfig};
 use proptest::prelude::*;
@@ -14,10 +15,7 @@ use sage::{DeviceGraph, Runner};
 use sage_graph::gen::{social_graph, SocialParams};
 use sage_graph::Csr;
 
-/// Thread counts exercised against the sequential baseline.
-const THREADS: [usize; 3] = [2, 4, 8];
-
-/// The tiny test device widened to 8 SMs so an 8-thread run is not clamped.
+/// The tiny test device widened to 8 SMs.
 fn cfg8() -> DeviceConfig {
     DeviceConfig {
         num_sms: 8,
@@ -98,19 +96,16 @@ struct Fingerprint {
     edges: u64,
     examined: u64,
     trace: String,
-    host_threads: usize,
 }
 
 fn run_once(
     csr: &Csr,
     engine: &mut dyn Engine,
-    threads: usize,
     policy: PolicySel,
     app: AppSel,
     src: u32,
 ) -> Fingerprint {
     let mut dev = Device::new(cfg8());
-    dev.set_host_threads(threads);
     let dg = DeviceGraph::upload(&mut dev, csr.clone()).with_in_edges(&mut dev);
     let runner = policy.runner();
     let (report, outputs) = match app {
@@ -144,12 +139,11 @@ fn run_once(
         edges: report.edges,
         examined: report.edges_examined,
         trace: report.direction_trace,
-        host_threads: report.host_threads,
     }
 }
 
-/// Assert every parallel thread count reproduces the sequential fingerprint
-/// bit for bit (modulo the reported thread budget itself).
+/// Assert a rerun on a fresh device with a fresh engine reproduces the
+/// first run's fingerprint bit for bit.
 fn assert_deterministic(
     csr: &Csr,
     policy: PolicySel,
@@ -157,26 +151,10 @@ fn assert_deterministic(
     src: u32,
 ) -> Result<(), TestCaseError> {
     for make in engines() {
-        let seq = run_once(csr, make().as_mut(), 1, policy, app, src);
-        prop_assert_eq!(seq.host_threads, 1);
-        for &t in &THREADS {
-            let mut engine = make();
-            let mut par = run_once(csr, engine.as_mut(), t, policy, app, src);
-            prop_assert_eq!(
-                par.host_threads,
-                t,
-                "thread budget lost on {}",
-                engine.name()
-            );
-            par.host_threads = seq.host_threads;
-            prop_assert_eq!(
-                &par,
-                &seq,
-                "{} threads diverged from sequential on {}",
-                t,
-                engine.name()
-            );
-        }
+        let first = run_once(csr, make().as_mut(), policy, app, src);
+        let mut engine = make();
+        let rerun = run_once(csr, engine.as_mut(), policy, app, src);
+        prop_assert_eq!(&rerun, &first, "rerun diverged on {}", engine.name());
     }
     Ok(())
 }
@@ -185,7 +163,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     #[test]
-    fn bfs_parallel_matches_sequential_bitwise(
+    fn bfs_reruns_are_bitwise_identical(
         nodes in 60usize..160, seed in 0u64..1000, src in 0u32..60, policy in 0u8..3
     ) {
         let g = graph(nodes, 8.0, seed);
@@ -193,7 +171,7 @@ proptest! {
     }
 
     #[test]
-    fn cc_parallel_matches_sequential_bitwise(
+    fn cc_reruns_are_bitwise_identical(
         nodes in 60usize..140, seed in 0u64..1000, policy in 0u8..3
     ) {
         let g = graph(nodes, 6.0, seed);
@@ -201,7 +179,7 @@ proptest! {
     }
 
     #[test]
-    fn pr_parallel_matches_sequential_bitwise(
+    fn pr_reruns_are_bitwise_identical(
         nodes in 60usize..120, seed in 0u64..1000, policy in 0u8..3
     ) {
         let g = graph(nodes, 6.0, seed);
@@ -210,8 +188,8 @@ proptest! {
 }
 
 /// The whole engine roster (not just the pull-capable trio) agrees with its
-/// own sequential run on one fixed power-law graph — a cheap deterministic
-/// sweep that catches a port regression in any single engine.
+/// own rerun on one fixed power-law graph — a cheap deterministic sweep that
+/// catches a port regression in any single engine.
 #[test]
 fn all_engines_deterministic_on_fixed_graph() {
     use sage::engine::{B40cEngine, GunrockEngine};
@@ -230,34 +208,28 @@ fn all_engines_deterministic_on_fixed_graph() {
         || Box::new(GunrockEngine::default()),
     ];
     for make in roster {
-        let seq = run_once(&g, make().as_mut(), 1, PolicySel::Push, AppSel::Bfs, 0);
-        for &t in &THREADS {
-            let mut engine = make();
-            let mut par = run_once(&g, engine.as_mut(), t, PolicySel::Push, AppSel::Bfs, 0);
-            par.host_threads = seq.host_threads;
-            assert_eq!(par, seq, "{} diverged at {} threads", engine.name(), t);
-        }
+        let first = run_once(&g, make().as_mut(), PolicySel::Push, AppSel::Bfs, 0);
+        let mut engine = make();
+        let rerun = run_once(&g, engine.as_mut(), PolicySel::Push, AppSel::Bfs, 0);
+        assert_eq!(rerun, first, "{} diverged on a rerun", engine.name());
     }
 }
 
-/// The matrix pipeline really runs its SpMV iterations under the sharded
-/// backend: a dense fixed graph traces `M` on every pull-capable engine and
-/// every thread count reproduces the sequential fingerprint bit for bit.
+/// The matrix pipeline really runs its SpMV iterations: a dense fixed graph
+/// traces `M` on every pull-capable engine and a rerun reproduces the
+/// fingerprint bit for bit.
 #[test]
 fn matrix_pipeline_deterministic_and_traced_on_fixed_graph() {
     let g = graph(200, 8.0, 7);
     for make in engines() {
-        let seq = run_once(&g, make().as_mut(), 1, PolicySel::Matrix, AppSel::Bfs, 0);
+        let first = run_once(&g, make().as_mut(), PolicySel::Matrix, AppSel::Bfs, 0);
         assert!(
-            seq.trace.contains('M'),
+            first.trace.contains('M'),
             "matrix-forced run never took the SpMV path: {}",
-            seq.trace
+            first.trace
         );
-        for &t in &THREADS {
-            let mut engine = make();
-            let mut par = run_once(&g, engine.as_mut(), t, PolicySel::Matrix, AppSel::Bfs, 0);
-            par.host_threads = seq.host_threads;
-            assert_eq!(par, seq, "{} diverged at {} threads", engine.name(), t);
-        }
+        let mut engine = make();
+        let rerun = run_once(&g, engine.as_mut(), PolicySel::Matrix, AppSel::Bfs, 0);
+        assert_eq!(rerun, first, "{} diverged on a rerun", engine.name());
     }
 }

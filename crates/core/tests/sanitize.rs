@@ -2,7 +2,7 @@
 //! {BFS, CC, PR, MIS} × {push-only, adaptive} pipeline must be hazard-free, and
 //! enabling the sanitizer must never perturb the simulation — application
 //! outputs, simulated cycles, and every cache counter stay **bitwise
-//! identical** at 1 and 4 host threads. The deliberately racy fixture
+//! identical**. The deliberately racy fixture
 //! kernel proves the detector actually fires, exactly once.
 
 use gpu_sim::{Device, DeviceConfig, HazardKind};
@@ -16,10 +16,7 @@ use sage::{DeviceGraph, Runner};
 use sage_graph::gen::{social_graph, SocialParams};
 use sage_graph::Csr;
 
-/// Host thread counts exercised per configuration.
-const THREADS: [usize; 2] = [1, 4];
-
-/// The tiny test device widened to 8 SMs so parallel replay has real shards.
+/// The tiny test device widened to 8 SMs, so cross-SM pairs have room.
 fn cfg(sanitize: bool) -> DeviceConfig {
     DeviceConfig {
         num_sms: 8,
@@ -135,13 +132,11 @@ struct Fingerprint {
 fn run_once(
     csr: &Csr,
     entry: &Entry,
-    threads: usize,
     adaptive: bool,
     app: AppSel,
     sanitize: bool,
 ) -> (Fingerprint, Vec<gpu_sim::Hazard>) {
     let mut dev = Device::new(cfg(sanitize));
-    dev.set_host_threads(threads);
     let mut engine = (entry.make)(&mut dev, csr);
     let dg = if entry.out_of_core {
         // host-resident graphs have no in-edge view; the adaptive pipeline
@@ -195,34 +190,31 @@ fn run_once(
 }
 
 /// One engine × app × direction: hazard-free under the sanitizer, and the
-/// sanitized run is bitwise identical to the unsanitized one at every
-/// thread count.
+/// sanitized run is bitwise identical to the unsanitized one.
 fn assert_clean_and_neutral(
     csr: &Csr,
     entry: &Entry,
     adaptive: bool,
     app: AppSel,
 ) -> Result<(), TestCaseError> {
-    for &t in &THREADS {
-        let (plain, no_hazards) = run_once(csr, entry, t, adaptive, app, false);
-        prop_assert!(no_hazards.is_empty(), "hazards with sanitizer off");
-        let (sanitized, hazards) = run_once(csr, entry, t, adaptive, app, true);
-        prop_assert!(
-            hazards.is_empty(),
-            "{} × {} ({}, {t} threads) flagged: {:?}",
-            entry.name,
-            app_name(app),
-            if adaptive { "adaptive" } else { "push" },
-            hazards
-        );
-        prop_assert_eq!(
-            &sanitized,
-            &plain,
-            "sanitizer perturbed {} × {} ({t} threads)",
-            entry.name,
-            app_name(app)
-        );
-    }
+    let (plain, no_hazards) = run_once(csr, entry, adaptive, app, false);
+    prop_assert!(no_hazards.is_empty(), "hazards with sanitizer off");
+    let (sanitized, hazards) = run_once(csr, entry, adaptive, app, true);
+    prop_assert!(
+        hazards.is_empty(),
+        "{} × {} ({}) flagged: {:?}",
+        entry.name,
+        app_name(app),
+        if adaptive { "adaptive" } else { "push" },
+        hazards
+    );
+    prop_assert_eq!(
+        &sanitized,
+        &plain,
+        "sanitizer perturbed {} × {}",
+        entry.name,
+        app_name(app)
+    );
     Ok(())
 }
 

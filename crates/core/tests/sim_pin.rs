@@ -1,16 +1,15 @@
-//! Pins the simulated numbers of the sequential (1-host-thread) path.
+//! Pins the simulated numbers of the simulator.
 //!
 //! Every line below is the exact `Profiler` state (float counters as raw
 //! bits) after BFS or PageRank runs on a fixed R-MAT graph, under each
 //! direction policy, on three devices:
 //! - the tiny test device, whose small caches see streaming bypass and
 //!   capacity misses;
-//! - the default device, the only shipped geometry whose L2 slices have a
-//!   non-power-of-two set count (192), so the modulo set index runs;
-//! - the default device with a 24 KiB 4-way L2: still 16 slices, each of
-//!   3 sets. The graph fits the full 6 MiB L2, whose 16-way sets never
-//!   evict it, so only this shrunken L2 makes the modulo set index decide
-//!   hits.
+//! - the default device, the only shipped geometry whose L2 has a
+//!   non-power-of-two set count (3072), so the modulo set index runs;
+//! - the default device with a 24 KiB 4-way L2 (48 sets, again modulo).
+//!   The graph fits the full 6 MiB L2, whose 16-way sets never evict it,
+//!   so only this shrunken L2 makes the modulo set index decide hits.
 //!
 //! PageRank's initial frontier is every vertex, so the pull and adaptive
 //! runners keep it on push; only the matrix runner changes its path.
@@ -92,7 +91,6 @@ fn pinned_line(
     runner: &Runner,
 ) -> String {
     let mut dev = Device::new(cfg.clone());
-    dev.set_host_threads(1);
     let g = DeviceGraph::upload(&mut dev, rmat_graph(11, 8, 5)).with_in_edges(&mut dev);
     let mut engine = ResidentEngine::new();
     let mut traces = Vec::new();
@@ -209,7 +207,6 @@ fn social(nodes: usize) -> sage_graph::Csr {
 /// `sampling_reorder_*` kernels run), then one BFS on the new order.
 fn session_line() -> String {
     let mut dev = Device::new(DeviceConfig::default());
-    dev.set_host_threads(1);
     let csr = social(1 << 11);
     let sources: Vec<u32> = (0..csr.num_nodes() as u32)
         .filter(|&u| csr.degree(u) > 0)
@@ -281,7 +278,6 @@ fn walk_line(sampler: SamplerKind, dev: &mut Device, rt: &mut SageRuntime) -> St
 /// BFS on a host-placed graph: adjacency reads cross PCIe.
 fn out_of_core_line() -> String {
     let mut dev = Device::new(DeviceConfig::default());
-    dev.set_host_threads(1);
     let (g, mut engine) = sage_out_of_core(&mut dev, rmat_graph(11, 8, 5));
     let mut bfs = Bfs::new(&mut dev);
     let mut traces = Vec::new();
@@ -306,9 +302,6 @@ fn multi_gpu_lines() -> Vec<String> {
     };
     let dev_cfg = DeviceConfig::test_tiny();
     let mut driver = MultiGpuDriver::new(cfg, &rmat_graph(11, 8, 5), &dev_cfg);
-    for d in 0..2 {
-        driver.device(d).set_host_threads(1);
-    }
     let mut bfs = Bfs::new(&mut Device::new(dev_cfg));
     let r = driver.run(&mut bfs, 0);
     let out = hash_u32s(bfs.distances().iter().map(|&d| d as u32));
@@ -331,7 +324,6 @@ fn multi_gpu_lines() -> Vec<String> {
 fn adaptive_session_walk_ooc_and_multi_gpu_numbers_are_pinned() {
     let mut actual = vec![session_line()];
     let mut dev = Device::new(DeviceConfig::test_tiny());
-    dev.set_host_threads(1);
     let mut rt = SageRuntime::new(&mut dev, social(1 << 10));
     for sampler in [SamplerKind::Its, SamplerKind::Alias] {
         actual.push(walk_line(sampler, &mut dev, &mut rt));

@@ -1,7 +1,7 @@
 //! Rules `hash-iter`, `wall-clock`, `unordered-reduce`: determinism lints.
 //!
-//! The repo's headline guarantee is bitwise-identical simulation at any
-//! host thread count. Three things quietly break it:
+//! The repo's headline guarantee is bitwise-identical simulation, run to
+//! run. Three things quietly break it:
 //!
 //! - **`hash-iter`** — iterating a default-hasher `HashMap`/`HashSet`
 //!   yields platform/seed-dependent order. Construction and keyed lookup
@@ -16,7 +16,7 @@
 //! - **`unordered-reduce`** — channel receives (`recv`/`try_recv`/…,
 //!   `mpsc`) in `sim`/`core`/`serve` src: merging worker results in
 //!   completion order is the classic nondeterministic reduce. Merge by
-//!   shard index instead (the replay backend joins handles in order).
+//!   shard index instead.
 
 use crate::diag::Diag;
 use crate::scan::FileScan;

@@ -100,10 +100,9 @@ impl Default for PeerLinkConfig {
 /// (the `(A^T ⊙ mask) · f` step), internally a sequence of
 /// `side × side × side` hardware fragments. Ops charge a per-SM tensor-pipe
 /// throughput bound plus an exposed-latency term hidden by warp concurrency,
-/// exactly like scalar memory latency — pure arithmetic on event counts, so
-/// the term is bitwise identical at any host thread count and under the
-/// trace/replay backend (the memory side of a matrix kernel goes through the
-/// ordinary [`crate::Kernel`] access paths and is traced/sanitized there).
+/// exactly like scalar memory latency — pure arithmetic on event counts (the
+/// memory side of a matrix kernel goes through the ordinary
+/// [`crate::Kernel`] access paths and is sanitized there).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TensorConfig {
     /// Hardware MMA fragment dimension (m = n = k), e.g. 16 for WMMA
@@ -189,58 +188,11 @@ pub struct DeviceConfig {
     /// detection never changes simulated cycles or counters.
     pub sanitize: bool,
 
-    /// Probe-count threshold for the trace/replay backend: traced kernels
-    /// recording fewer probes than this replay inline on the calling thread
-    /// (spawning shard workers costs more than the replay itself), at or
-    /// above it they replay on SM-sharded workers. Overridable at device
-    /// construction by the `SAGE_REPLAY_GATE` environment variable and at
-    /// runtime via [`crate::device::Device::set_replay_gate`]; the setting
-    /// never changes simulated results, only host-side execution.
-    pub replay_gate: usize,
-
-    /// Charge reads of registered streaming regions (see
-    /// [`crate::device::Device::mark_streaming`]) eagerly as DRAM sectors
-    /// instead of recording them as replay probes. Streaming reads bypass
-    /// the cache hierarchy on *every* backend (they model `ld.global.cs`
-    /// no-allocate loads), so this toggle only moves host-side work: on, the
-    /// probes are charged at record time; off, they ride the trace streams
-    /// and are charged during replay. Overridable by `SAGE_ELISION` and
-    /// [`crate::device::Device::set_elide_streaming`].
-    pub elide_streaming: bool,
-
-    /// Overlap the replay of one traced kernel with the recording of the
-    /// next: kernels at or above the replay gate hand their probe streams
-    /// and the cache hierarchy to a background replay thread, and every
-    /// observable read on the device joins it first (a deterministic
-    /// barrier), so results are bitwise identical to synchronous replay.
-    /// Overridable by `SAGE_ASYNC_REPLAY` and
-    /// [`crate::device::Device::set_async_replay`].
-    pub async_replay: bool,
-
     /// Simulated device-memory capacity in bytes. The allocator does not
     /// enforce it (simulated arrays carry no data); placement policies use
     /// it to decide whether a graph is uploaded to device memory or routed
     /// through the out-of-core path.
     pub memory_bytes: u64,
-}
-
-/// Shared defaults for fields used by more than one preset.
-mod defaults {
-    pub(super) fn replay_gate() -> usize {
-        8_192
-    }
-
-    pub(super) fn memory_bytes() -> u64 {
-        48 * 1024 * 1024 * 1024
-    }
-
-    pub(super) fn elide_streaming() -> bool {
-        true
-    }
-
-    pub(super) fn async_replay() -> bool {
-        true
-    }
 }
 
 impl Default for DeviceConfig {
@@ -285,10 +237,7 @@ impl DeviceConfig {
             pcie: PcieConfig::default(),
             peer: PeerLinkConfig::default(),
             sanitize: false,
-            replay_gate: defaults::replay_gate(),
-            elide_streaming: defaults::elide_streaming(),
-            async_replay: defaults::async_replay(),
-            memory_bytes: defaults::memory_bytes(),
+            memory_bytes: 48 * 1024 * 1024 * 1024,
         }
     }
 
@@ -358,9 +307,6 @@ impl DeviceConfig {
             pcie: PcieConfig::default(),
             peer: PeerLinkConfig::default(),
             sanitize: false,
-            replay_gate: defaults::replay_gate(),
-            elide_streaming: defaults::elide_streaming(),
-            async_replay: defaults::async_replay(),
             // tiny device, tiny memory: placement tests can exceed it
             memory_bytes: 4 * 1024 * 1024,
         }
@@ -499,9 +445,8 @@ mod tests {
     }
 
     #[test]
-    fn replay_gate_and_memory_defaults() {
+    fn memory_defaults() {
         let c = DeviceConfig::default();
-        assert_eq!(c.replay_gate, 8_192);
         assert_eq!(c.memory_bytes, 48 * 1024 * 1024 * 1024);
         assert!(DeviceConfig::test_tiny().memory_bytes < c.memory_bytes);
     }

@@ -25,65 +25,26 @@
 //! applies the device-wide DRAM/L2/PCIe bandwidth bounds plus the fixed
 //! launch overhead.
 //!
-//! # Execution backends
+//! # Execution
 //!
-//! With [`crate::device::Device::host_threads`] at 1 every cache probe runs
-//! inline, in call order, against the shared hierarchy — the original
-//! sequential path. Above 1 the kernel switches to a **trace/replay**
-//! backend: event accounting still happens inline (it is cheap and
-//! cache-independent), but sector probes are appended to compact packed
-//! per-SM streams (`crate::trace::TraceArena`) — one
-//! `seq << 36 | sector << 2 | bypass << 1 | atomic` word per probe —
-//! stamped with a global sequence number and replayed at
-//! [`Kernel::finish`] in two parallel passes: per-SM private-L1 replay
-//! (each shard owns its SM's L1; survivors are compacted *in place* into
-//! per-`(SM, slice)` runs already sorted by seq), then per-slice L2 replay
-//! that merges the runs back into global probe order with a dense-seq
-//! counting merge (each worker owns disjoint address-interleaved L2 slices,
-//! see [`crate::cache::SlicedCache`]). Stream storage lives in a per-device
-//! arena reused across launches, so steady-state recording never allocates.
-//! Shard counters merge in SM order, so cycles, profiler stats and cache
-//! states are bitwise identical to the sequential path. Kernels recording
-//! fewer probes than [`crate::device::Device::replay_gate`] replay inline on
-//! the calling thread — spawning shard workers would cost more than the
-//! replay itself.
-//!
-//! Two further optimisations ride on the trace/replay backend. **Probe
-//! elision**: reads of registered streaming regions
+//! There is one backend. Event accounting and every sector probe run
+//! inline, in call order, on the calling thread: each access walks the
+//! SM's private L1, then the shared L2, then DRAM, so cache state after a
+//! kernel depends only on the order in which the engine reported its
+//! accesses. Reads of registered streaming regions
 //! ([`crate::device::Device::mark_streaming`] — CSR adjacency larger than
-//! one L2 way) bypass the cache hierarchy on every backend and are charged
-//! as compulsory DRAM misses; since their outcome cannot depend on inter-SM
-//! interleaving, the recording path charges them eagerly and never streams
-//! them (toggle: [`crate::device::Device::set_elide_streaming`]).
-//! **Asynchronous replay**: kernels at or above the replay gate may hand
-//! their streams plus the cache hierarchy to a background thread via
-//! [`Kernel::finish_async`], overlapping replay with the next kernel's
-//! recording; every observable device read joins the in-flight replay
-//! first, so results stay bitwise identical to synchronous replay (toggle:
-//! [`crate::device::Device::set_async_replay`]).
+//! one L2 way) model `ld.global.cs` no-allocate loads: they bypass L1 and L2
+//! and cost one compulsory DRAM sector each. That bypass is a cost-model
+//! rule, not a host shortcut.
 
-use crate::cache::{Probe, SectorCache};
+use crate::cache::Probe;
 use crate::config::DeviceConfig;
-use crate::device::{Device, ReplayCaches};
+use crate::device::Device;
 use crate::mem::is_host_addr;
 use crate::profile::Profiler;
 use crate::sanitizer::{HazardReport, ShadowTracker};
-use crate::trace::TraceArena;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
-
-/// Probe streams of an in-flight traced kernel: the device's arena plus the
-/// global sequence counter stamping every recorded probe.
-#[derive(Debug)]
-struct TraceBuf {
-    arena: TraceArena,
-    seq: u64,
-    threads: usize,
-    /// Elide streaming-bypass reads from the streams (charge eagerly).
-    elide: bool,
-    /// Probes elided so far (telemetry for `ReplayStats`).
-    elided: u64,
-}
 
 /// What a memory access does; writes also produce sector traffic
 /// (write-allocate) and are tracked separately for the profiler.
@@ -95,12 +56,13 @@ pub enum AccessKind {
     Write,
 }
 
-/// Per-SM event counters for one kernel.
+/// Per-SM event counters for one kernel. Every increment is an integer, so
+/// the lane counters stay `u64` and become `f64` once, in `compute_cycles`.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SmCounters {
-    pub warp_insts: f64,
-    pub active_lanes: f64,
-    pub lane_slots: f64,
+    pub warp_insts: u64,
+    pub active_lanes: u64,
+    pub lane_slots: u64,
     pub mem_requests: u64,
     pub l1_hits: u64,
     pub l2_hits: u64,
@@ -134,8 +96,6 @@ pub struct KernelReport {
     pub pcie_bytes: u64,
     /// Host wall-clock seconds between launch and finish.
     pub host_seconds: f64,
-    /// Host threads the simulation was allowed to use (1 = sequential).
-    pub host_threads: usize,
     /// Hazards the race sanitizer detected in this kernel (always empty
     /// when the sanitizer is disabled).
     pub hazards: HazardReport,
@@ -166,7 +126,6 @@ pub struct Kernel<'d> {
     scratch_addrs: Vec<u64>,
     host_bytes: u64,
     host_requests: u64,
-    trace: Option<TraceBuf>,
     shadow: Option<ShadowTracker>,
     started: Instant,
 }
@@ -175,14 +134,6 @@ impl<'d> Kernel<'d> {
     pub(crate) fn new(dev: &'d mut Device, name: &str) -> Self {
         let sms = dev.cfg().num_sms;
         let concurrency = dev.cfg().max_resident_warps as f64;
-        let threads = dev.host_threads();
-        let trace = (threads > 1).then(|| TraceBuf {
-            arena: dev.take_trace_arena(),
-            seq: 0,
-            threads,
-            elide: dev.elide_streaming(),
-            elided: 0,
-        });
         let shadow = dev.sanitize_enabled().then(|| ShadowTracker::new(sms));
         let sector_shift = dev.cfg().sector_bytes.trailing_zeros();
         Self {
@@ -195,9 +146,8 @@ impl<'d> Kernel<'d> {
             scratch_addrs: Vec::with_capacity(64),
             host_bytes: 0,
             host_requests: 0,
-            trace,
             shadow,
-            // sage-lint: allow(wall-clock) — host-side telemetry only: measures real replay cost, never feeds simulated cycles or RunReport determinism
+            // sage-lint: allow(wall-clock) — host-side telemetry only: measures the kernel's host cost, never feeds simulated cycles or RunReport determinism
             started: Instant::now(),
         }
     }
@@ -235,9 +185,9 @@ impl<'d> Kernel<'d> {
     pub fn exec(&mut self, sm: usize, warp_insts: u64, active: usize, width: usize) {
         let n = self.per_sm.len();
         let c = &mut self.per_sm[sm % n];
-        c.warp_insts += warp_insts as f64;
-        c.active_lanes += active as f64;
-        c.lane_slots += width.max(active) as f64;
+        c.warp_insts += warp_insts;
+        c.active_lanes += active as u64;
+        c.lane_slots += width.max(active) as u64;
     }
 
     /// Issue fully-converged instructions (all lanes active).
@@ -251,10 +201,9 @@ impl<'d> Kernel<'d> {
     /// [`crate::TensorConfig::block_dim`]-square adjacency block. Ops feed
     /// a per-SM tensor-pipe throughput bound plus an exposed-latency term
     /// hidden by concurrency — a fourth contender in the per-SM cycle max
-    /// beside issue, the memory pipe, and scalar exposed latency. The charge
-    /// is pure event arithmetic, so it is identical on the sequential and
-    /// trace/replay backends by construction; the operands' memory traffic
-    /// is charged separately through the ordinary access paths.
+    /// beside issue, the memory pipe, and scalar exposed latency. The
+    /// operands' memory traffic is charged separately through the ordinary
+    /// access paths.
     pub fn mma(&mut self, sm: usize, ops: u64) {
         if ops == 0 {
             return;
@@ -264,9 +213,9 @@ impl<'d> Kernel<'d> {
         let c = &mut self.per_sm[sm % n];
         c.mma_ops += ops;
         // each op occupies one issue slot (HMMA/BMMA instruction dispatch)
-        c.warp_insts += ops as f64;
-        c.active_lanes += (ops as usize * warp) as f64;
-        c.lane_slots += (ops as usize * warp) as f64;
+        c.warp_insts += ops;
+        c.active_lanes += ops * warp as u64;
+        c.lane_slots += ops * warp as u64;
     }
 
     /// A warp/tile-wide memory access: lanes touch `addrs` (each `elem_bytes`
@@ -320,9 +269,9 @@ impl<'d> Kernel<'d> {
         let c = &mut self.per_sm[sm];
         c.mem_requests += 1;
         // one LSU instruction per request
-        c.warp_insts += 1.0;
-        c.active_lanes += addrs.len().min(self.dev.cfg().warp_size) as f64;
-        c.lane_slots += self.dev.cfg().warp_size as f64;
+        c.warp_insts += 1;
+        c.active_lanes += addrs.len().min(self.dev.cfg().warp_size) as u64;
+        c.lane_slots += self.dev.cfg().warp_size as u64;
 
         let is_write = kind == AccessKind::Write;
         let mut prev_host_sector: u64 = u64::MAX;
@@ -353,22 +302,8 @@ impl<'d> Kernel<'d> {
             self.per_sm[sm].write_sectors += 1;
         }
         // Streaming-region reads model `ld.global.cs` no-allocate loads:
-        // they bypass L1 and L2 on *every* backend and cost a compulsory
-        // DRAM sector. Because they never touch cache state, their outcome
-        // is independent of inter-SM interleaving — which is what lets the
-        // recording path charge them eagerly instead of streaming them.
-        let bypass = !is_write && self.dev.is_streaming_sector(s);
-        if let Some(t) = &mut self.trace {
-            if bypass && t.elide {
-                self.per_sm[sm].dram_sectors += 1;
-                t.elided += 1;
-                return;
-            }
-            t.arena.record(sm, s, t.seq, bypass, false);
-            t.seq += 1;
-            return;
-        }
-        if bypass {
+        // they bypass L1 and L2 and cost a compulsory DRAM sector.
+        if !is_write && self.dev.is_streaming_sector(s) {
             self.per_sm[sm].dram_sectors += 1;
             return;
         }
@@ -417,9 +352,9 @@ impl<'d> Kernel<'d> {
             let hi = lo + lanes * elem_bytes as u64 - 1;
             let c = &mut self.per_sm[sm];
             c.mem_requests += 1;
-            c.warp_insts += 1.0;
-            c.active_lanes += lanes as f64;
-            c.lane_slots += warp as f64;
+            c.warp_insts += 1;
+            c.active_lanes += lanes;
+            c.lane_slots += warp;
             for s in (lo >> shift)..=(hi >> shift) {
                 self.charge_sector(sm, is_write, s, &mut prev_host_sector);
             }
@@ -477,11 +412,6 @@ impl<'d> Kernel<'d> {
         coalesce(&mut self.scratch_sectors, addrs, 1, self.sector_shift);
         for i in 0..self.scratch_sectors.len() {
             let s = self.scratch_sectors[i];
-            if let Some(t) = &mut self.trace {
-                t.arena.record(sm, s, t.seq, false, true);
-                t.seq += 1;
-                continue;
-            }
             let outcome = self.dev.probe_l2_only(s);
             let c = &mut self.per_sm[sm];
             match outcome {
@@ -492,9 +422,9 @@ impl<'d> Kernel<'d> {
         let c = &mut self.per_sm[sm];
         c.atomics += n;
         c.atomic_serial += n - distinct;
-        c.warp_insts += 1.0;
-        c.active_lanes += addrs.len().min(self.dev.cfg().warp_size) as f64;
-        c.lane_slots += self.dev.cfg().warp_size as f64;
+        c.warp_insts += 1;
+        c.active_lanes += addrs.len().min(self.dev.cfg().warp_size) as u64;
+        c.lane_slots += self.dev.cfg().warp_size as u64;
         c.mem_requests += 1;
     }
 
@@ -533,31 +463,8 @@ impl<'d> Kernel<'d> {
     }
 
     /// Convert accumulated events into time, charge the device clock and
-    /// profiler, and return the report. Synchronous: any in-flight async
-    /// replay is joined first (launch order), then this kernel's own replay
-    /// runs to completion before the report is built.
-    pub fn finish(self) -> KernelReport {
-        self.finalize(false)
-            .expect("synchronous finish always yields a report")
-    }
-
-    /// Like [`Kernel::finish`], but a traced kernel at or above the replay
-    /// gate hands its probe streams and the cache hierarchy to a background
-    /// replay thread instead of blocking — the next kernel can record while
-    /// this one replays. The report is folded into the device at the next
-    /// observable read (a deterministic join barrier), so callers that
-    /// discard the report lose nothing. Kernels below the gate, sequential
-    /// kernels, and devices with async replay disabled finish synchronously.
-    pub fn finish_async(self) {
-        let _ = self.finalize(true);
-    }
-
-    /// Shared finish path. Hazards are always resolved synchronously here
-    /// (the shadow tracker is cache-independent); the replay + cycle
-    /// computation either runs inline or is deferred to a thread, but both
-    /// routes execute the exact same code on the exact same data, which is
-    /// what makes async replay bitwise identical by construction.
-    fn finalize(mut self, may_defer: bool) -> Option<KernelReport> {
+    /// profiler, and return the report.
+    pub fn finish(mut self) -> KernelReport {
         let hazards = HazardReport {
             hazards: self
                 .shadow
@@ -565,68 +472,32 @@ impl<'d> Kernel<'d> {
                 .map_or_else(Vec::new, |s| s.finish(&self.name)),
         };
         self.dev.record_hazards(&hazards);
-        if let Some(trace) = self.trace.take() {
-            let TraceBuf {
-                arena,
-                threads,
-                elided,
-                ..
-            } = trace;
-            let work = ReplayWork {
-                caches: self.dev.take_replay_caches(),
-                arena,
-                per_sm: std::mem::take(&mut self.per_sm),
-                threads,
-                gate: self.dev.replay_gate(),
-                cfg: self.dev.cfg().clone(),
-                concurrency: self.concurrency,
-                host_bytes: self.host_bytes,
-                host_requests: self.host_requests,
-                name: std::mem::take(&mut self.name),
-                elided,
-                started: self.started,
-            };
-            let sms = work.arena.rec.len();
-            let sharded = threads.min(sms).max(1) > 1 && work.arena.total_ops() >= work.gate;
-            if may_defer && sharded && self.dev.async_replay_enabled() {
-                self.dev
-                    .set_pending_replay(std::thread::spawn(move || work.run()));
-                return None;
-            }
-            let done = work.run();
-            let mut report = done.apply(self.dev);
-            report.hazards = hazards;
-            Some(report)
-        } else {
-            let br = compute_cycles(
-                self.dev.cfg(),
-                &self.per_sm,
-                self.concurrency,
-                self.host_bytes,
-                self.host_requests,
-            );
-            self.dev.charge(&br.totals, br.cycles);
-            self.dev.charge_named(&self.name, br.cycles);
-            Some(KernelReport {
-                seconds: self.dev.cfg().cycles_to_seconds(br.cycles),
-                name: std::mem::take(&mut self.name),
-                cycles: br.cycles,
-                max_sm_cycles: br.max_sm,
-                mean_sm_cycles: br.mean_sm,
-                active_sms: br.active_sms,
-                dram_bytes: br.dram_bytes,
-                pcie_bytes: self.host_bytes,
-                host_seconds: self.started.elapsed().as_secs_f64(),
-                host_threads: 1,
-                hazards,
-            })
+        let br = compute_cycles(
+            self.dev.cfg(),
+            &self.per_sm,
+            self.concurrency,
+            self.host_bytes,
+            self.host_requests,
+        );
+        self.dev.charge(&br.totals, br.cycles);
+        self.dev.charge_named(&self.name, br.cycles);
+        KernelReport {
+            seconds: self.dev.cfg().cycles_to_seconds(br.cycles),
+            name: std::mem::take(&mut self.name),
+            cycles: br.cycles,
+            max_sm_cycles: br.max_sm,
+            mean_sm_cycles: br.mean_sm,
+            active_sms: br.active_sms,
+            dram_bytes: br.dram_bytes,
+            pcie_bytes: self.host_bytes,
+            host_seconds: self.started.elapsed().as_secs_f64(),
+            hazards,
         }
     }
 }
 
-/// The device-independent cycle computation shared by the sequential finish
-/// path and (a)synchronous replay: per-SM critical-path max, device-wide
-/// bandwidth bounds, launch overhead, and the profiler totals.
+/// The device-independent cycle computation: per-SM critical-path max,
+/// device-wide bandwidth bounds, launch overhead, and the profiler totals.
 struct CycleBreakdown {
     totals: Profiler,
     cycles: f64,
@@ -654,12 +525,13 @@ fn compute_cycles(
     let mut l2_sectors_total = 0u64;
 
     for c in per_sm {
-        let busy = c.warp_insts > 0.0 || c.mem_requests > 0 || c.syncs > 0;
+        let busy = c.warp_insts > 0 || c.mem_requests > 0 || c.syncs > 0;
         if !busy {
             continue;
         }
         active_sms += 1;
-        let issue = c.warp_insts / cfg.issue_width;
+        let warp_insts = c.warp_insts as f64;
+        let issue = warp_insts / cfg.issue_width;
         let sectors = c.l1_hits + c.l2_hits + c.dram_sectors + c.host_sectors;
         let mem_pipe = sectors as f64 / cfg.sectors_per_line() as f64;
         // matrix-unit pipe: MMA op throughput bounds the SM like the LSU
@@ -676,9 +548,9 @@ fn compute_cycles(
         max_sm = max_sm.max(sm_cycles);
         sum_sm += sm_cycles;
 
-        totals.warp_insts += c.warp_insts;
-        totals.active_lanes += c.active_lanes;
-        totals.lane_slots += c.lane_slots;
+        totals.warp_insts += warp_insts;
+        totals.active_lanes += c.active_lanes as f64;
+        totals.lane_slots += c.lane_slots as f64;
         totals.mem_requests += c.mem_requests;
         totals.l1_hit_sectors += c.l1_hits;
         totals.l2_hit_sectors += c.l2_hits;
@@ -727,124 +599,6 @@ fn compute_cycles(
         },
         active_sms,
         dram_bytes,
-    }
-}
-
-/// Everything one traced kernel's replay needs, owned, so it can run on the
-/// calling thread or be moved onto a background thread unchanged.
-struct ReplayWork {
-    caches: ReplayCaches,
-    arena: TraceArena,
-    per_sm: Vec<SmCounters>,
-    threads: usize,
-    gate: usize,
-    cfg: DeviceConfig,
-    concurrency: f64,
-    host_bytes: u64,
-    host_requests: u64,
-    name: String,
-    elided: u64,
-    started: Instant,
-}
-
-impl ReplayWork {
-    /// Replay the streams against the owned cache hierarchy and compute the
-    /// kernel's cycles — the same code whether invoked inline or on a
-    /// background thread.
-    fn run(mut self) -> ReplayDone {
-        let (recorded, l2_probes, parallel, arena_bytes) = replay_streams(
-            &mut self.caches,
-            &mut self.arena,
-            &mut self.per_sm,
-            self.threads,
-            self.gate,
-        );
-        let br = compute_cycles(
-            &self.cfg,
-            &self.per_sm,
-            self.concurrency,
-            self.host_bytes,
-            self.host_requests,
-        );
-        ReplayDone {
-            caches: self.caches,
-            arena: self.arena,
-            name: self.name,
-            totals: br.totals,
-            cycles: br.cycles,
-            max_sm: br.max_sm,
-            mean_sm: br.mean_sm,
-            active_sms: br.active_sms,
-            dram_bytes: br.dram_bytes,
-            recorded,
-            elided: self.elided,
-            l2_probes,
-            parallel,
-            arena_bytes,
-            host_threads: self.threads,
-            started: self.started,
-        }
-    }
-}
-
-/// A completed replay: the caches to install back plus everything needed to
-/// charge the device and build the report. Applying it is the only step that
-/// touches the device, so the sync path (apply immediately) and the async
-/// path (apply at the join barrier) are indistinguishable to simulated
-/// state.
-pub(crate) struct ReplayDone {
-    caches: ReplayCaches,
-    arena: TraceArena,
-    name: String,
-    totals: Profiler,
-    cycles: f64,
-    max_sm: f64,
-    mean_sm: f64,
-    active_sms: usize,
-    dram_bytes: u64,
-    recorded: u64,
-    elided: u64,
-    l2_probes: u64,
-    parallel: bool,
-    arena_bytes: u64,
-    host_threads: usize,
-    started: Instant,
-}
-
-impl ReplayDone {
-    /// Fold the completed replay into the device in launch order: install
-    /// the caches, return the arena, account telemetry, charge clock and
-    /// profiler, and build the report.
-    pub(crate) fn apply(self, dev: &mut Device) -> KernelReport {
-        dev.install_replay_caches(self.caches);
-        if self.recorded > 0 || self.elided > 0 {
-            dev.note_replay(
-                self.recorded,
-                self.elided,
-                self.l2_probes,
-                self.parallel,
-                self.arena_bytes,
-            );
-        }
-        dev.return_trace_arena(self.arena);
-        dev.charge(&self.totals, self.cycles);
-        dev.charge_named(&self.name, self.cycles);
-        let seconds = dev.cfg().cycles_to_seconds(self.cycles);
-        KernelReport {
-            name: self.name,
-            cycles: self.cycles,
-            seconds,
-            max_sm_cycles: self.max_sm,
-            mean_sm_cycles: self.mean_sm,
-            active_sms: self.active_sms,
-            dram_bytes: self.dram_bytes,
-            pcie_bytes: self.totals.pcie_bytes,
-            host_seconds: self.started.elapsed().as_secs_f64(),
-            host_threads: self.host_threads,
-            hazards: HazardReport {
-                hazards: Vec::new(),
-            },
-        }
     }
 }
 
@@ -938,264 +692,6 @@ fn coalesce(out: &mut Vec<u64>, addrs: &[u64], elem_bytes: u64, shift: u32) {
         out.sort_unstable();
         out.dedup();
     }
-}
-
-/// Split `items` into at most `parts` contiguous chunks of near-equal size
-/// (ownership partition for shard workers; deterministic by construction).
-fn chunk_len(total: usize, parts: usize) -> usize {
-    total.div_ceil(parts.max(1)).max(1)
-}
-
-/// Replay a traced kernel's probe streams against the (moved-out) cache
-/// hierarchy and fill the deferred `l1_hits` / `l2_hits` / `dram_sectors`
-/// counters. Returns `(recorded, l2_probes, parallel, arena_bytes)`.
-///
-/// Pass 1 replays each SM's packed stream against that SM's private L1 —
-/// per-SM program order is exactly the sequential probe order projected onto
-/// one SM, and L1 outcomes depend on nothing else. Bypass-flagged streaming
-/// reads charge DRAM directly and never touch a cache. Survivors (L1 misses
-/// plus atomics, which bypass L1) are compacted **in place** into the same
-/// per-SM vector, re-packed with slice-local sector ids and stably grouped
-/// by L2 slice (`TraceArena::runs` brackets the groups) — the arena never
-/// holds a second copy of a probe. Because the per-SM stream is in sequence
-/// order, every group comes out sorted by seq. Pass 2 replays each slice's
-/// probes in global sequence order by a dense-seq counting merge of that
-/// slice's per-SM runs (sequence stamps are globally unique, so the order is
-/// total) — per-set LRU state only depends on the relative order of that
-/// set's probes, so the sliced replay reproduces the monolithic outcome
-/// probe for probe. A slice fed by a single SM skips the merge and drains
-/// the run in one sweep. Both passes run on `threads` scoped workers over
-/// disjoint cache shards; kernels below the replay gate stay on the calling
-/// thread. Counter merging is fixed-order u64 sums, so the result is
-/// independent of thread scheduling.
-fn replay_streams(
-    caches: &mut ReplayCaches,
-    arena: &mut TraceArena,
-    per_sm: &mut [SmCounters],
-    threads: usize,
-    gate: usize,
-) -> (u64, u64, bool, u64) {
-    use crate::trace::{ATOMIC_FLAG, BYPASS_FLAG, SECTOR_MASK, SEQ_SHIFT};
-    let num_slices = caches.l2.num_slices();
-    let total_ops = arena.total_ops();
-    if total_ops == 0 {
-        return (0, 0, false, arena.reserved_bytes());
-    }
-    let sms = arena.rec.len();
-    let workers = threads.min(sms).max(1);
-    let parallel = workers > 1 && total_ops >= gate;
-    let seq_mask_hi = !((1u64 << SEQ_SHIFT) - 1);
-
-    // ---- pass 1: private L1 replay, one shard per SM ----
-    let mut l1_hits = vec![0u64; sms];
-    let mut l1_dram = vec![0u64; sms];
-    {
-        let l1 = &mut caches.l1;
-        let l2 = &caches.l2;
-        // Survivors are re-packed (seq | slice-local sector) into per-slice
-        // scratch groups, then written back over the drained stream prefix —
-        // scratch is per-worker and sized to one SM's survivors, so the
-        // arena itself never grows in pass 1.
-        let replay_one = |cache: &mut SectorCache,
-                          rec: &mut Vec<u64>,
-                          runs: &mut [usize],
-                          hits: &mut u64,
-                          dram: &mut u64,
-                          scratch: &mut Vec<Vec<u64>>| {
-            for g in scratch.iter_mut() {
-                g.clear();
-            }
-            for &w in rec.iter() {
-                if w & BYPASS_FLAG != 0 {
-                    // streaming bypass: compulsory DRAM miss, no cache touch
-                    *dram += 1;
-                    continue;
-                }
-                let s = (w >> 2) & SECTOR_MASK;
-                if w & ATOMIC_FLAG == 0 && cache.access(s) == Probe::Hit {
-                    *hits += 1;
-                    continue;
-                }
-                let (slice, local) = l2.slice_and_local(s);
-                scratch[slice].push((w & seq_mask_hi) | (local << 2));
-            }
-            rec.clear();
-            runs[0] = 0;
-            for (slice, g) in scratch.iter().enumerate() {
-                rec.extend_from_slice(g);
-                runs[slice + 1] = rec.len();
-            }
-        };
-        if parallel {
-            let chunk = chunk_len(sms, workers);
-            std::thread::scope(|scope| {
-                for (((l1c, recc), runsc), outc) in l1
-                    .chunks_mut(chunk)
-                    .zip(arena.rec.chunks_mut(chunk))
-                    .zip(arena.runs.chunks_mut(chunk * (num_slices + 1)))
-                    .zip(l1_hits.chunks_mut(chunk).zip(l1_dram.chunks_mut(chunk)))
-                {
-                    scope.spawn(move || {
-                        let (hitc, dramc) = outc;
-                        let mut scratch: Vec<Vec<u64>> = vec![Vec::new(); num_slices];
-                        for (i, cache) in l1c.iter_mut().enumerate() {
-                            replay_one(
-                                cache,
-                                &mut recc[i],
-                                &mut runsc[i * (num_slices + 1)..(i + 1) * (num_slices + 1)],
-                                &mut hitc[i],
-                                &mut dramc[i],
-                                &mut scratch,
-                            );
-                        }
-                    });
-                }
-            });
-        } else {
-            let mut scratch: Vec<Vec<u64>> = vec![Vec::new(); num_slices];
-            for (sm, cache) in l1.iter_mut().enumerate() {
-                replay_one(
-                    cache,
-                    &mut arena.rec[sm],
-                    &mut arena.runs[sm * (num_slices + 1)..(sm + 1) * (num_slices + 1)],
-                    &mut l1_hits[sm],
-                    &mut l1_dram[sm],
-                    &mut scratch,
-                );
-            }
-        }
-    }
-
-    // ---- pass 2: L2 replay, one worker chunk per group of slices ----
-    let l2_probes = arena.total_ops() as u64;
-    let mut slice_counts: Vec<(u64, u64)> = vec![(0, 0); num_slices * sms];
-    {
-        let l2 = &mut caches.l2;
-        let rec = &arena.rec;
-        let run_bounds = &arena.runs;
-        // Pack (seq, sm) into one sortable key: stamps are globally unique,
-        // so the low sm bits never decide an ordering.
-        let sm_bits = usize::BITS - sms.saturating_sub(1).leading_zeros();
-        let sm_mask = (1u64 << sm_bits) - 1;
-        let replay_slice = |cache: &mut SectorCache, slice: usize, counts: &mut [(u64, u64)]| {
-            let mut runs: Vec<(usize, &[u64])> = Vec::with_capacity(sms);
-            let mut n = 0usize;
-            let mut min_seq = u64::MAX;
-            let mut max_seq = 0u64;
-            for (sm, stream) in rec.iter().enumerate() {
-                let b = sm * (num_slices + 1) + slice;
-                let seg = &stream[run_bounds[b]..run_bounds[b + 1]];
-                if let (Some(&first), Some(&last)) = (seg.first(), seg.last()) {
-                    n += seg.len();
-                    min_seq = min_seq.min(first >> SEQ_SHIFT);
-                    max_seq = max_seq.max(last >> SEQ_SHIFT);
-                    runs.push((sm, seg));
-                }
-            }
-            if runs.is_empty() {
-                return;
-            }
-            if let [(sm, seg)] = runs[..] {
-                // single contributing SM: the run already is global order
-                let mut h = 0u64;
-                for &w in seg {
-                    if cache.access((w >> 2) & SECTOR_MASK) == Probe::Hit {
-                        h += 1;
-                    }
-                }
-                counts[sm].0 += h;
-                counts[sm].1 += seg.len() as u64 - h;
-                return;
-            }
-            // Dense-seq counting merge: stamps are dense per kernel, so
-            // scatter the runs into ~1-probe-wide seq buckets (count,
-            // prefix-sum, place), sort the rare multi-entry bucket, and
-            // sweep in ascending-seq order — O(n) instead of per-probe
-            // heap churn.
-            let buckets = n;
-            let width = (max_seq - min_seq + 1).div_ceil(buckets as u64).max(1);
-            let mut offsets = vec![0usize; buckets + 1];
-            for &(_, seg) in &runs {
-                for &w in seg {
-                    offsets[(((w >> SEQ_SHIFT) - min_seq) / width) as usize + 1] += 1;
-                }
-            }
-            for i in 1..=buckets {
-                offsets[i] += offsets[i - 1];
-            }
-            let mut cursor = offsets[..buckets].to_vec();
-            let mut pairs = vec![(0u64, 0u64); n];
-            for &(sm, seg) in &runs {
-                for &w in seg {
-                    let q = w >> SEQ_SHIFT;
-                    let b = ((q - min_seq) / width) as usize;
-                    pairs[cursor[b]] = ((q << sm_bits) | sm as u64, (w >> 2) & SECTOR_MASK);
-                    cursor[b] += 1;
-                }
-            }
-            for b in 0..buckets {
-                let seg = &mut pairs[offsets[b]..offsets[b + 1]];
-                if seg.len() > 1 {
-                    seg.sort_unstable();
-                }
-                for &(key, local) in seg.iter() {
-                    let c = &mut counts[(key & sm_mask) as usize];
-                    if cache.access(local) == Probe::Hit {
-                        c.0 += 1;
-                    } else {
-                        c.1 += 1;
-                    }
-                }
-            }
-        };
-        let slices = l2.slices_mut();
-        if parallel {
-            let chunk = chunk_len(num_slices, workers);
-            std::thread::scope(|scope| {
-                for (ci, (slice_chunk, count_chunk)) in slices
-                    .chunks_mut(chunk)
-                    .zip(slice_counts.chunks_mut(chunk * sms))
-                    .enumerate()
-                {
-                    scope.spawn(move || {
-                        for (i, cache) in slice_chunk.iter_mut().enumerate() {
-                            replay_slice(
-                                cache,
-                                ci * chunk + i,
-                                &mut count_chunk[i * sms..(i + 1) * sms],
-                            );
-                        }
-                    });
-                }
-            });
-        } else {
-            for (slice, cache) in slices.iter_mut().enumerate() {
-                replay_slice(
-                    cache,
-                    slice,
-                    &mut slice_counts[slice * sms..(slice + 1) * sms],
-                );
-            }
-        }
-    }
-
-    // ---- pass 3: merge in fixed SM-major order ----
-    for (sm, c) in per_sm.iter_mut().enumerate() {
-        c.l1_hits += l1_hits[sm];
-        c.dram_sectors += l1_dram[sm];
-        for slice in 0..num_slices {
-            let (h, m) = slice_counts[slice * sms + sm];
-            c.l2_hits += h;
-            c.dram_sectors += m;
-        }
-    }
-
-    (
-        total_ops as u64,
-        l2_probes,
-        parallel,
-        arena.reserved_bytes(),
-    )
 }
 
 #[cfg(test)]
@@ -1461,96 +957,6 @@ mod tests {
         assert!(d.profiler().write_sectors > 0);
     }
 
-    /// Drive a mixed workload (scattered reads, ranged writes, atomics,
-    /// repeated warm accesses across several SMs) and return every counter
-    /// the simulation produces, cycles included, as exact bit patterns.
-    fn mixed_workload(threads: usize) -> (Vec<u64>, u64, u64, u64) {
-        let mut d = dev();
-        d.set_host_threads(threads);
-        let sms = d.cfg().num_sms;
-        for round in 0..3u64 {
-            let mut k = d.launch("mixed");
-            for sm in 0..sms {
-                let addrs: Vec<u64> = (0..16)
-                    .map(|i| 4096 + ((i * 2654435761u64 + sm as u64 * 97 + round * 13) % 4096))
-                    .collect();
-                k.access(sm, AccessKind::Read, &addrs, 4);
-                k.access_range(sm, AccessKind::Write, 65536 + sm as u64 * 512, 200, 4);
-                let at: Vec<u64> = (0..8).map(|i| 128 * ((i * 7 + sm as u64) % 5)).collect();
-                k.atomic(sm, &at);
-                // re-touch the same addresses: exercises warm L1/L2 state
-                k.access(sm, AccessKind::Read, &addrs, 4);
-                k.sync(sm);
-            }
-            let _ = k.finish();
-        }
-        let p = d.profiler();
-        let counters = vec![
-            p.warp_insts.to_bits(),
-            p.active_lanes.to_bits(),
-            p.lane_slots.to_bits(),
-            p.mem_requests,
-            p.l1_hit_sectors,
-            p.l2_hit_sectors,
-            p.dram_sectors,
-            p.write_sectors,
-            p.atomics,
-            p.atomic_conflicts,
-            p.syncs,
-            p.cycles.to_bits(),
-            d.elapsed_cycles().to_bits(),
-        ];
-        let (l2h, l2sm, l2lm) = d.l2_stats();
-        (counters, l2h, l2sm, l2lm)
-    }
-
-    #[test]
-    fn traced_replay_is_bitwise_identical_to_direct_path() {
-        let direct = mixed_workload(1);
-        for threads in [2, 3, 4] {
-            assert_eq!(
-                direct,
-                mixed_workload(threads),
-                "threads={threads} diverged from sequential"
-            );
-        }
-    }
-
-    #[test]
-    fn traced_replay_handles_host_memory_identically() {
-        let run = |threads: usize| {
-            let mut d = dev();
-            d.set_host_threads(threads);
-            let mut h = crate::mem::Allocator::new(MemSpace::Host);
-            let base = h.alloc(1 << 16);
-            let mut k = d.launch("ooc");
-            k.access_range(0, AccessKind::Read, base, 512, 4);
-            k.access(1, AccessKind::Read, &[4096, base + 32], 4);
-            let r = k.finish();
-            (
-                r.cycles.to_bits(),
-                r.pcie_bytes,
-                d.profiler().pcie_requests,
-                d.profiler().total_sectors(),
-            )
-        };
-        assert_eq!(run(1), run(4));
-    }
-
-    #[test]
-    fn kernel_report_carries_host_thread_budget() {
-        let mut d = dev();
-        d.set_host_threads(3);
-        let mut k = d.launch("budget");
-        k.exec_uniform(0, 10);
-        let r = k.finish();
-        assert_eq!(r.host_threads, 3);
-        assert!(r.host_seconds >= 0.0);
-        d.set_host_threads(1);
-        let r = d.launch("seq").finish();
-        assert_eq!(r.host_threads, 1);
-    }
-
     #[test]
     fn shard_handle_charges_its_bound_sm() {
         let mut d = dev();
@@ -1596,10 +1002,9 @@ mod tests {
 
     #[test]
     fn sanitizer_is_cost_neutral_and_clean_on_ordered_kernels() {
-        let run = |sanitize: bool, threads: usize| {
+        let run = |sanitize: bool| {
             let mut d = dev();
             d.set_sanitize(sanitize);
-            d.set_host_threads(threads);
             let mut k = d.launch("ordered");
             // per-SM disjoint writes + atomics + a grid-sync'd cross-SM pass
             for sm in 0..4 {
@@ -1618,13 +1023,11 @@ mod tests {
             assert_eq!(d.hazard_count(), 0, "ordered kernel must be hazard-free");
             (r.cycles.to_bits(), d.profiler().clone())
         };
-        for threads in [1, 4] {
-            assert_eq!(
-                run(false, threads),
-                run(true, threads),
-                "sanitizing must not change simulated results (threads={threads})"
-            );
-        }
+        assert_eq!(
+            run(false),
+            run(true),
+            "sanitizing must not change simulated results"
+        );
     }
 
     #[test]
@@ -1659,22 +1062,6 @@ mod tests {
     }
 
     #[test]
-    fn mma_is_deterministic_across_host_threads() {
-        let run = |threads: usize| {
-            let mut d = dev();
-            d.set_host_threads(threads);
-            let mut k = d.launch("mma_mixed");
-            for sm in 0..4 {
-                k.mma(sm, 10 + sm as u64);
-                k.access_range(sm, AccessKind::Read, 4096 + sm as u64 * 512, 64, 4);
-            }
-            let r = k.finish();
-            (r.cycles.to_bits(), d.profiler().mma_ops)
-        };
-        assert_eq!(run(1), run(4));
-    }
-
-    #[test]
     fn zero_mma_is_free() {
         let mut d = dev();
         let mut k = d.launch("mma0");
@@ -1682,69 +1069,6 @@ mod tests {
         let r = k.finish();
         assert_eq!(r.active_sms, 0);
         assert_eq!(d.profiler().mma_ops, 0);
-    }
-
-    /// A workload mixing streaming-region reads, cached reads, writes into
-    /// the streaming region, and atomics, run three kernels deep so cache
-    /// state carries across launches (and, with async replay, across the
-    /// record/replay overlap). Returns every simulated observable as exact
-    /// bits plus the elided-probe count.
-    fn streaming_workload(threads: usize, elide: bool, async_on: bool) -> (Vec<u64>, u64) {
-        let mut d = dev();
-        d.set_host_threads(threads);
-        d.set_elide_streaming(elide);
-        d.set_async_replay(async_on);
-        d.set_replay_gate(1); // every traced kernel goes sharded (and async)
-        let base = 1u64 << 20;
-        // 4 KiB >= test_tiny's 2 KiB L2 way capacity -> registered
-        d.mark_streaming(base, 4096);
-        assert_eq!(d.streaming_region_count(), 1);
-        for round in 0..3u64 {
-            let mut k = d.launch("stream");
-            for sm in 0..4 {
-                let off = (sm as u64 * 1024 + round * 256) % 3072;
-                k.access_range(sm, AccessKind::Read, base + off, 200, 4);
-                k.access_range(sm, AccessKind::Read, 4096 + sm as u64 * 512, 64, 4);
-                k.access(sm, AccessKind::Write, &[base + sm as u64 * 64], 4);
-                k.atomic(sm, &[512 * (1 + sm as u64)]);
-            }
-            k.finish_async();
-        }
-        let p = d.profiler().clone();
-        let (l2h, l2sm, l2lm) = d.l2_stats();
-        let counters = vec![
-            p.l1_hit_sectors,
-            p.l2_hit_sectors,
-            p.dram_sectors,
-            p.write_sectors,
-            p.atomics,
-            p.cycles.to_bits(),
-            d.elapsed_cycles().to_bits(),
-            l2h,
-            l2sm,
-            l2lm,
-        ];
-        let elided = d.replay_stats().elided_probes;
-        (counters, elided)
-    }
-
-    #[test]
-    fn elision_and_async_replay_are_bitwise_invisible() {
-        // threads=1: sequential backend, no tracing at all — the reference.
-        let (reference, e0) = streaming_workload(1, true, true);
-        assert_eq!(e0, 0, "sequential kernels never elide (nothing is traced)");
-        for threads in [2, 4] {
-            for elide in [false, true] {
-                for async_on in [false, true] {
-                    let (got, elided) = streaming_workload(threads, elide, async_on);
-                    assert_eq!(
-                        got, reference,
-                        "threads={threads} elide={elide} async={async_on} diverged"
-                    );
-                    assert_eq!(elided > 0, elide, "elision telemetry must track the toggle");
-                }
-            }
-        }
     }
 
     #[test]
@@ -1771,25 +1095,6 @@ mod tests {
         assert_eq!(d.profiler().l1_hit_sectors, 0);
         assert_eq!(d.profiler().l2_hit_sectors, 0);
         assert_eq!(d.profiler().dram_sectors, 16);
-    }
-
-    #[test]
-    fn async_replay_joins_at_observable_reads() {
-        let mut d = dev();
-        d.set_host_threads(4);
-        d.set_replay_gate(1);
-        let mut k = d.launch("async");
-        for sm in 0..4 {
-            k.access_range(sm, AccessKind::Read, 4096 + sm as u64 * 4096, 256, 4);
-        }
-        k.finish_async();
-        // The join barrier must surface the kernel's full charge.
-        assert!(d.elapsed_cycles() > 0.0);
-        assert_eq!(d.profiler().kernels, 1);
-        assert_eq!(d.replay_stats().traced_kernels, 1);
-        let bd = d.kernel_breakdown();
-        assert_eq!(bd.len(), 1);
-        assert_eq!(bd[0].1, 1);
     }
 
     #[test]

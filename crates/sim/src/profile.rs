@@ -110,10 +110,10 @@ impl Profiler {
     }
 }
 
-/// Host-side telemetry of the trace/replay backend, kept separate from
-/// [`Profiler`] on purpose: profiler counters describe the *simulated*
-/// machine and are compared bitwise across configurations, while these
-/// describe how the simulation itself executed on the host.
+/// Host-side telemetry of the trace/replay backend the simulator no longer
+/// has. Nothing records into it: [`crate::Device::replay_stats`] always
+/// returns zeros. The type stays because the repo benchmark (`perfbench/`)
+/// compiles against it and still reports its fields.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ReplayStats {
     /// Kernels that went through the trace/replay backend.

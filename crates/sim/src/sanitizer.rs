@@ -13,9 +13,8 @@
 //! Two accesses to the same word are **ordered** (and therefore never a
 //! hazard) when any of the following holds:
 //!
-//! * they come from the same SM — per-SM program order is respected by both
-//!   the sequential backend and trace/replay, and block-wide `sync` barriers
-//!   only strengthen it;
+//! * they come from the same SM — the simulator respects per-SM program
+//!   order, and block-wide `sync` barriers only strengthen it;
 //! * either access is an `atomic` — the hardware serialises atomics at the
 //!   L2 point of coherence;
 //! * either access is a *dirty write* ([`crate::kernel::Kernel::access_dirty`])
@@ -30,9 +29,9 @@
 //! never suppress a hazard by themselves.
 //!
 //! Detection is deliberately deterministic: shadow updates happen inline at
-//! access-recording time on the engine thread (not at replay time), so the
-//! hazard set is bitwise identical across host-thread counts, and the cost
-//! model is untouched — enabling the sanitizer changes no simulated number.
+//! access time on the engine thread, so the hazard set is bitwise identical
+//! run to run, and the cost model is untouched — enabling the sanitizer
+//! changes no simulated number.
 
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
