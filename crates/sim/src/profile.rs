@@ -138,16 +138,6 @@ pub struct ReplayStats {
 }
 
 impl ReplayStats {
-    /// Mean recorded probes per traced kernel (0 when none ran).
-    #[must_use]
-    pub fn probes_per_kernel(&self) -> f64 {
-        if self.traced_kernels == 0 {
-            0.0
-        } else {
-            self.recorded_probes as f64 / self.traced_kernels as f64
-        }
-    }
-
     /// Fraction of recorded probes absorbed by private L1s during replay.
     #[must_use]
     pub fn l1_absorption(&self) -> f64 {
@@ -156,35 +146,6 @@ impl ReplayStats {
         } else {
             1.0 - self.l2_probes as f64 / self.recorded_probes as f64
         }
-    }
-
-    /// Fraction of classified probes elided from the replay streams:
-    /// `elided / (elided + recorded)`, 0 when no traced kernel ran.
-    #[must_use]
-    pub fn elision(&self) -> f64 {
-        let total = self.elided_probes + self.recorded_probes;
-        if total == 0 {
-            0.0
-        } else {
-            self.elided_probes as f64 / total as f64
-        }
-    }
-}
-
-impl fmt::Display for ReplayStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "traced kernels: {} ({} sharded / {} inline), probes: {} recorded ({:.1}% L1-absorbed) + {} elided ({:.1}%), arena: {} KiB",
-            self.traced_kernels,
-            self.parallel_replays,
-            self.inline_replays,
-            self.recorded_probes,
-            self.l1_absorption() * 100.0,
-            self.elided_probes,
-            self.elision() * 100.0,
-            self.arena_bytes / 1024,
-        )
     }
 }
 
@@ -281,7 +242,6 @@ mod tests {
     #[test]
     fn replay_stats_ratios() {
         let r = ReplayStats::default();
-        assert_eq!(r.probes_per_kernel(), 0.0);
         assert_eq!(r.l1_absorption(), 0.0);
         let r = ReplayStats {
             traced_kernels: 2,
@@ -292,9 +252,6 @@ mod tests {
             inline_replays: 1,
             arena_bytes: 4096,
         };
-        assert!((r.probes_per_kernel() - 50.0).abs() < 1e-12);
         assert!((r.l1_absorption() - 0.75).abs() < 1e-12);
-        assert!((r.elision() - 0.75).abs() < 1e-12);
-        assert!(format!("{r}").contains("arena"));
     }
 }
