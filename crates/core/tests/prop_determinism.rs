@@ -6,6 +6,11 @@
 //! and the matrix-forced (masked SpMV) pipelines, on every pull-capable
 //! engine. Hidden state (hash iteration order, statics, engine state that
 //! leaks between instances) shows up here as a diverging rerun.
+//!
+//! The rerun asks its device for a parallel host budget through
+//! [`Device::set_host_threads`]. The simulator has one sequential backend
+//! and keeps that call only as a no-op for the repo benchmark, whose
+//! adaptive workload requests 2 threads; the request must not move a bit.
 
 use gpu_sim::{Device, DeviceConfig};
 use proptest::prelude::*;
@@ -14,6 +19,9 @@ use sage::engine::{Engine, NaiveEngine, ResidentEngine, TiledPartitioningEngine}
 use sage::{DeviceGraph, Runner};
 use sage_graph::gen::{social_graph, SocialParams};
 use sage_graph::Csr;
+
+/// Host-thread budget the rerun requests; the first run requests 1.
+const PARALLEL: usize = 4;
 
 /// The tiny test device widened to 8 SMs.
 fn cfg8() -> DeviceConfig {
@@ -101,11 +109,13 @@ struct Fingerprint {
 fn run_once(
     csr: &Csr,
     engine: &mut dyn Engine,
+    threads: usize,
     policy: PolicySel,
     app: AppSel,
     src: u32,
 ) -> Fingerprint {
     let mut dev = Device::new(cfg8());
+    dev.set_host_threads(threads);
     let dg = DeviceGraph::upload(&mut dev, csr.clone()).with_in_edges(&mut dev);
     let runner = policy.runner();
     let (report, outputs) = match app {
@@ -142,8 +152,9 @@ fn run_once(
     }
 }
 
-/// Assert a rerun on a fresh device with a fresh engine reproduces the
-/// first run's fingerprint bit for bit.
+/// Assert a rerun on a fresh device with a fresh engine, requesting
+/// [`PARALLEL`] host threads, reproduces the sequential first run's
+/// fingerprint bit for bit.
 fn assert_deterministic(
     csr: &Csr,
     policy: PolicySel,
@@ -151,9 +162,9 @@ fn assert_deterministic(
     src: u32,
 ) -> Result<(), TestCaseError> {
     for make in engines() {
-        let first = run_once(csr, make().as_mut(), policy, app, src);
+        let first = run_once(csr, make().as_mut(), 1, policy, app, src);
         let mut engine = make();
-        let rerun = run_once(csr, engine.as_mut(), policy, app, src);
+        let rerun = run_once(csr, engine.as_mut(), PARALLEL, policy, app, src);
         prop_assert_eq!(&rerun, &first, "rerun diverged on {}", engine.name());
     }
     Ok(())
@@ -163,7 +174,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     #[test]
-    fn bfs_reruns_are_bitwise_identical(
+    fn bfs_parallel_matches_sequential_bitwise(
         nodes in 60usize..160, seed in 0u64..1000, src in 0u32..60, policy in 0u8..3
     ) {
         let g = graph(nodes, 8.0, seed);
@@ -171,7 +182,7 @@ proptest! {
     }
 
     #[test]
-    fn cc_reruns_are_bitwise_identical(
+    fn cc_parallel_matches_sequential_bitwise(
         nodes in 60usize..140, seed in 0u64..1000, policy in 0u8..3
     ) {
         let g = graph(nodes, 6.0, seed);
@@ -179,7 +190,7 @@ proptest! {
     }
 
     #[test]
-    fn pr_reruns_are_bitwise_identical(
+    fn pr_parallel_matches_sequential_bitwise(
         nodes in 60usize..120, seed in 0u64..1000, policy in 0u8..3
     ) {
         let g = graph(nodes, 6.0, seed);
@@ -208,9 +219,16 @@ fn all_engines_deterministic_on_fixed_graph() {
         || Box::new(GunrockEngine::default()),
     ];
     for make in roster {
-        let first = run_once(&g, make().as_mut(), PolicySel::Push, AppSel::Bfs, 0);
+        let first = run_once(&g, make().as_mut(), 1, PolicySel::Push, AppSel::Bfs, 0);
         let mut engine = make();
-        let rerun = run_once(&g, engine.as_mut(), PolicySel::Push, AppSel::Bfs, 0);
+        let rerun = run_once(
+            &g,
+            engine.as_mut(),
+            PARALLEL,
+            PolicySel::Push,
+            AppSel::Bfs,
+            0,
+        );
         assert_eq!(rerun, first, "{} diverged on a rerun", engine.name());
     }
 }
@@ -222,14 +240,21 @@ fn all_engines_deterministic_on_fixed_graph() {
 fn matrix_pipeline_deterministic_and_traced_on_fixed_graph() {
     let g = graph(200, 8.0, 7);
     for make in engines() {
-        let first = run_once(&g, make().as_mut(), PolicySel::Matrix, AppSel::Bfs, 0);
+        let first = run_once(&g, make().as_mut(), 1, PolicySel::Matrix, AppSel::Bfs, 0);
         assert!(
             first.trace.contains('M'),
             "matrix-forced run never took the SpMV path: {}",
             first.trace
         );
         let mut engine = make();
-        let rerun = run_once(&g, engine.as_mut(), PolicySel::Matrix, AppSel::Bfs, 0);
+        let rerun = run_once(
+            &g,
+            engine.as_mut(),
+            PARALLEL,
+            PolicySel::Matrix,
+            AppSel::Bfs,
+            0,
+        );
         assert_eq!(rerun, first, "{} diverged on a rerun", engine.name());
     }
 }

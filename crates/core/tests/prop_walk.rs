@@ -5,6 +5,10 @@
 //! with the race sanitizer armed and silent. A companion statistical test
 //! checks Monte-Carlo PPR agrees with power-iteration PageRank on the head
 //! of the rank distribution.
+//!
+//! The rerun asks its device for a parallel host budget through
+//! [`Device::set_host_threads`], which the simulator keeps only as a no-op
+//! for the repo benchmark; the request must not move a bit.
 
 use gpu_sim::{Device, DeviceConfig};
 use proptest::prelude::*;
@@ -14,6 +18,9 @@ use sage::walk::{Node2vec, Ppr, SamplerKind, WalkApp, WalkSpec, WalkWeights};
 use sage::{DeviceGraph, Runner, SageRuntime};
 use sage_graph::gen::{social_graph, SocialParams};
 use sage_graph::Csr;
+
+/// Host-thread budget the rerun requests; the first run requests 1.
+const PARALLEL: usize = 4;
 
 /// The tiny test device widened to 8 SMs.
 fn cfg8() -> DeviceConfig {
@@ -47,8 +54,15 @@ struct Fingerprint {
     atomics: u64,
 }
 
-fn run_once(csr: &Csr, app: &dyn WalkApp, spec: &WalkSpec, sources: &[u32]) -> Fingerprint {
+fn run_once(
+    csr: &Csr,
+    app: &dyn WalkApp,
+    spec: &WalkSpec,
+    sources: &[u32],
+    threads: usize,
+) -> Fingerprint {
     let mut dev = Device::new(cfg8());
+    dev.set_host_threads(threads);
     dev.set_sanitize(true);
     let mut rt = SageRuntime::new(&mut dev, csr.clone());
     let out = rt.run_walk(&mut dev, app, spec, sources);
@@ -73,8 +87,9 @@ fn run_once(csr: &Csr, app: &dyn WalkApp, spec: &WalkSpec, sources: &[u32]) -> F
     }
 }
 
-/// A rerun on a fresh device must reproduce the first fingerprint bit for
-/// bit, for both samplers.
+/// A rerun on a fresh device requesting [`PARALLEL`] host threads must
+/// reproduce the sequential first run's fingerprint bit for bit, for both
+/// samplers.
 fn assert_deterministic(
     csr: &Csr,
     app: &dyn WalkApp,
@@ -89,8 +104,8 @@ fn assert_deterministic(
             sampler,
             weights: WalkWeights::Synthetic,
         };
-        let first = run_once(csr, app, &spec, sources);
-        let rerun = run_once(csr, app, &spec, sources);
+        let first = run_once(csr, app, &spec, sources, 1);
+        let rerun = run_once(csr, app, &spec, sources, PARALLEL);
         prop_assert_eq!(
             &rerun,
             &first,
@@ -105,7 +120,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     #[test]
-    fn ppr_walk_reruns_are_bitwise_identical(
+    fn ppr_walks_parallel_match_sequential_bitwise(
         nodes in 60usize..140, seed in 0u64..1000, src in 0u32..60
     ) {
         let g = graph(nodes, 8.0, seed);
@@ -114,7 +129,7 @@ proptest! {
     }
 
     #[test]
-    fn node2vec_walk_reruns_are_bitwise_identical(
+    fn node2vec_walks_parallel_match_sequential_bitwise(
         nodes in 60usize..120, seed in 0u64..1000, src in 0u32..60
     ) {
         let g = graph(nodes, 6.0, seed);
@@ -150,7 +165,7 @@ fn mc_ppr_ranks_correlate_with_power_iteration_pagerank() {
         weights: WalkWeights::Uniform,
     };
     let alpha = 1.0 - f64::from(sage::app::pagerank::DAMPING);
-    let mc = run_once(&csr, &Ppr::new(alpha), &spec, &all_sources);
+    let mc = run_once(&csr, &Ppr::new(alpha), &spec, &all_sources, 1);
     let mut mc_scores = vec![0.0f32; n];
     for slot in 0..n {
         for (v, &c) in mc.endpoints[slot * n..(slot + 1) * n].iter().enumerate() {

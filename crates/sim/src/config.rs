@@ -444,8 +444,10 @@ mod tests {
         assert!(cc.lines(128) >= cc.ways);
     }
 
+    /// The config carries no replay gate: kernels never defer their cache
+    /// probes, so only the memory defaults are left to check.
     #[test]
-    fn memory_defaults() {
+    fn replay_gate_and_memory_defaults() {
         let c = DeviceConfig::default();
         assert_eq!(c.memory_bytes, 48 * 1024 * 1024 * 1024);
         assert!(DeviceConfig::test_tiny().memory_bytes < c.memory_bytes);

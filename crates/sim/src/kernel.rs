@@ -957,6 +957,103 @@ mod tests {
         assert!(d.profiler().write_sectors > 0);
     }
 
+    /// Drive a mixed workload (scattered reads, ranged writes, atomics,
+    /// repeated warm accesses across several SMs) on a device that requested
+    /// `threads` host threads, and return every counter the simulation
+    /// produces, cycles included, as exact bit patterns.
+    fn mixed_workload(threads: usize) -> (Vec<u64>, u64, u64, u64) {
+        let mut d = dev();
+        d.set_host_threads(threads);
+        let sms = d.cfg().num_sms;
+        for round in 0..3u64 {
+            let mut k = d.launch("mixed");
+            for sm in 0..sms {
+                let addrs: Vec<u64> = (0..16)
+                    .map(|i| 4096 + ((i * 2654435761u64 + sm as u64 * 97 + round * 13) % 4096))
+                    .collect();
+                k.access(sm, AccessKind::Read, &addrs, 4);
+                k.access_range(sm, AccessKind::Write, 65536 + sm as u64 * 512, 200, 4);
+                let at: Vec<u64> = (0..8).map(|i| 128 * ((i * 7 + sm as u64) % 5)).collect();
+                k.atomic(sm, &at);
+                // re-touch the same addresses: exercises warm L1/L2 state
+                k.access(sm, AccessKind::Read, &addrs, 4);
+                k.sync(sm);
+            }
+            let _ = k.finish();
+        }
+        let p = d.profiler();
+        let counters = vec![
+            p.warp_insts.to_bits(),
+            p.active_lanes.to_bits(),
+            p.lane_slots.to_bits(),
+            p.mem_requests,
+            p.l1_hit_sectors,
+            p.l2_hit_sectors,
+            p.dram_sectors,
+            p.write_sectors,
+            p.atomics,
+            p.atomic_conflicts,
+            p.syncs,
+            p.cycles.to_bits(),
+            d.elapsed_cycles().to_bits(),
+        ];
+        let (l2h, l2sm, l2lm) = d.l2_stats();
+        (counters, l2h, l2sm, l2lm)
+    }
+
+    /// Every kernel probes inline whatever host-thread budget was requested
+    /// (`set_host_threads` is a no-op), so a request for more threads must
+    /// reproduce the 1-thread run bit for bit.
+    #[test]
+    fn traced_replay_is_bitwise_identical_to_direct_path() {
+        let direct = mixed_workload(1);
+        for threads in [2, 3, 4] {
+            assert_eq!(
+                direct,
+                mixed_workload(threads),
+                "threads={threads} diverged from sequential"
+            );
+        }
+    }
+
+    #[test]
+    fn traced_replay_handles_host_memory_identically() {
+        let run = |threads: usize| {
+            let mut d = dev();
+            d.set_host_threads(threads);
+            let mut h = crate::mem::Allocator::new(MemSpace::Host);
+            let base = h.alloc(1 << 16);
+            let mut k = d.launch("ooc");
+            k.access_range(0, AccessKind::Read, base, 512, 4);
+            k.access(1, AccessKind::Read, &[4096, base + 32], 4);
+            let r = k.finish();
+            (
+                r.cycles.to_bits(),
+                r.pcie_bytes,
+                d.profiler().pcie_requests,
+                d.profiler().total_sectors(),
+            )
+        };
+        assert_eq!(run(1), run(4));
+    }
+
+    /// Kernels run on the calling thread: whatever budget was requested, the
+    /// device reports one host thread and no trace/replay work, and the
+    /// report still carries the host time the kernel took.
+    #[test]
+    fn kernel_report_carries_host_thread_budget() {
+        let mut d = dev();
+        d.set_host_threads(3);
+        assert_eq!(d.host_threads(), 1);
+        let mut k = d.launch("budget");
+        k.exec_uniform(0, 10);
+        let r = k.finish();
+        assert!(r.host_seconds >= 0.0);
+        assert_eq!(d.replay_stats(), &crate::profile::ReplayStats::default());
+        d.set_host_threads(1);
+        assert_eq!(d.host_threads(), 1);
+    }
+
     #[test]
     fn shard_handle_charges_its_bound_sm() {
         let mut d = dev();
@@ -1059,6 +1156,22 @@ mod tests {
             r.max_sm_cycles
         );
         assert_eq!(d.profiler().mma_ops, 1000);
+    }
+
+    #[test]
+    fn mma_is_deterministic_across_host_threads() {
+        let run = |threads: usize| {
+            let mut d = dev();
+            d.set_host_threads(threads);
+            let mut k = d.launch("mma_mixed");
+            for sm in 0..4 {
+                k.mma(sm, 10 + sm as u64);
+                k.access_range(sm, AccessKind::Read, 4096 + sm as u64 * 512, 64, 4);
+            }
+            let r = k.finish();
+            (r.cycles.to_bits(), d.profiler().mma_ops)
+        };
+        assert_eq!(run(1), run(4));
     }
 
     #[test]
